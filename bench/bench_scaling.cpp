@@ -12,6 +12,7 @@
 #include "core/ilp.hpp"
 #include "fsm/synthesize.hpp"
 #include "lp/simplex.hpp"
+#include "sim/compiled_sim.hpp"
 #include "sim/faults.hpp"
 
 namespace {
@@ -120,10 +121,14 @@ BENCHMARK(BM_GreedyCover)->Arg(8)->Arg(16)->Arg(32)->Unit(
 void BM_FaultSimTransition(benchmark::State& state) {
   const fsm::FsmCircuit c = make_circuit(32);
   const auto faults = sim::enumerate_stuck_at(c.netlist);
+  const std::uint64_t code = 3;
+  sim::CircuitSim golden(c);
+  golden.populate({&code, 1});
+  sim::FaultSim fs(golden);
   std::size_t fi = 0;
   for (auto _ : state) {
-    const auto inj = faults[fi % faults.size()].injection();
-    auto rows = sim::simulate_all_inputs(c, 3, &inj);
+    fs.arm(faults[fi % faults.size()].injection());
+    const auto& rows = fs.faulty_rows(code);
     benchmark::DoNotOptimize(rows.data());
     ++fi;
   }

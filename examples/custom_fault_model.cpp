@@ -17,7 +17,7 @@
 #include "core/parity_synth.hpp"
 #include "fsm/synthesize.hpp"
 #include "kiss/kiss.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/compiled_sim.hpp"
 
 using namespace ced;
 
@@ -60,21 +60,22 @@ int main() {
   table.num_bits = circuit.n();
   table.latency = p;
 
-  sim::GoldenCache golden(circuit);
-  const auto codes = sim::reachable_codes(circuit, circuit.enc.reset_code);
+  sim::CircuitSim golden(circuit);
+  const auto codes = golden.populate_reachable(circuit.enc.reset_code);
+  sim::FaultSim reader(golden);  // golden rows of any code, cached
   std::size_t num_bridges = 0;
   for (int v = 0; v < circuit.r(); ++v) {
     for (int g = 0; g < circuit.r(); ++g) {
       if (v == g) continue;
       ++num_bridges;
       for (std::uint64_t c0 : codes) {
-        const auto good = golden.rows(c0);
+        const auto& good = reader.golden(c0).rows;
         const auto bad = bridged_rows(circuit, c0, v, g);
         for (std::uint64_t a = 0; a < good.size(); ++a) {
           if (good[a] == bad[a]) continue;
           // One-step lookahead (p = 2): enumerate every second input.
           const std::uint64_t h1 = circuit.next_state_of(bad[a]);
-          const auto good1 = golden.rows(h1);
+          const auto& good1 = reader.golden(h1).rows;
           const auto bad1 = bridged_rows(circuit, h1, v, g);
           for (std::uint64_t a2 = 0; a2 < good1.size(); ++a2) {
             core::ErroneousCase ec;
@@ -111,7 +112,7 @@ int main() {
     for (int g = 0; g < circuit.r(); ++g) {
       if (v == g) continue;
       for (std::uint64_t c0 : codes) {
-        const auto good = golden.rows(c0);
+        const auto& good = reader.golden(c0).rows;
         const auto bad = bridged_rows(circuit, c0, v, g);
         for (std::uint64_t a = 0; a < good.size(); ++a) {
           if (good[a] == bad[a]) continue;

@@ -34,7 +34,7 @@
 #include "kiss/kiss.hpp"
 
 // Fault simulation substrate.
-#include "sim/fault_sim.hpp"
+#include "sim/compiled_sim.hpp"
 #include "sim/faults.hpp"
 
 // LP solver.

@@ -2,20 +2,117 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/digest.hpp"
 #include "common/parallel.hpp"
+#include "obs/metrics.hpp"
+#include "sim/compiled_sim.hpp"
 
 namespace ced::core {
 namespace {
 
-using CaseSet = std::unordered_set<ErroneousCase, ErroneousCaseHash>;
+/// Flat open-addressing hash set: the items live in a dense vector, and a
+/// power-of-two slot table (at most half full) maps hashes to positions.
+/// Insert-only, and iteration follows insertion order — both users are
+/// order-blind: case sets are compacted and/or sorted before any table
+/// sees them, and step classes are sorted.
+template <class T, class Hash>
+class FlatSet {
+ public:
+  std::size_t size() const { return items_.size(); }
+  typename std::vector<T>::const_iterator begin() const {
+    return items_.begin();
+  }
+  typename std::vector<T>::const_iterator end() const { return items_.end(); }
+
+  bool contains(const T& x) const {
+    return !slots_.empty() && slots_[probe(x, hash(x))] != 0;
+  }
+
+  /// Adds `x`; false when it was already present.
+  bool insert(const T& x) {
+    if (2 * (items_.size() + 1) > slots_.size()) {
+      rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+    }
+    const std::uint64_t h = hash(x);
+    const std::size_t i = probe(x, h);
+    if (slots_[i] != 0) return false;
+    items_.push_back(x);
+    slots_[i] = (h & ~kIndex) | items_.size();
+    return true;
+  }
+
+  template <class It>
+  void insert(It first, It last) {
+    for (; first != last; ++first) insert(*first);
+  }
+
+  void reserve(std::size_t n) {
+    items_.reserve(n);
+    if (2 * n > slots_.size()) rehash(std::bit_ceil(2 * n));
+  }
+
+  /// Empties the set, keeping its capacity.
+  void reset() {
+    items_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+
+  /// Empties the set and releases its memory.
+  void clear() {
+    items_ = {};
+    slots_ = {};
+  }
+
+ private:
+  /// Low 32 bits of a slot: item position + 1 (0 = empty); high 32 bits:
+  /// the hash's high half, which filters most mismatches without touching
+  /// the item.
+  static constexpr std::uint64_t kIndex = 0xffffffffull;
+
+  static std::uint64_t hash(const T& x) {
+    std::uint64_t h = Hash{}(x);
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return h;
+  }
+
+  /// The slot holding `x`, or the empty slot where it would go.
+  std::size_t probe(const T& x, std::uint64_t h) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      const std::uint64_t slot = slots_[i];
+      if (slot == 0 || ((slot >> 32) == (h >> 32) &&
+                        items_[(slot & kIndex) - 1] == x)) {
+        return i;
+      }
+    }
+  }
+
+  void rehash(std::size_t capacity) {
+    slots_.assign(capacity, 0);
+    const std::size_t mask = capacity - 1;
+    for (std::size_t k = 0; k < items_.size(); ++k) {
+      const std::uint64_t h = hash(items_[k]);
+      std::size_t i = h & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = (h & ~kIndex) | (k + 1);
+    }
+  }
+
+  std::vector<T> items_;
+  std::vector<std::uint64_t> slots_;
+};
+
+using CaseSet = FlatSet<ErroneousCase, ErroneousCaseHash>;
 
 /// One state of the enumerated walk: the fault-free (reference) machine's
 /// state and the faulty machine's state. Under kImplementable semantics the
@@ -25,6 +122,12 @@ struct Pair {
   std::uint64_t good = 0;
   std::uint64_t bad = 0;
   bool operator==(const Pair&) const = default;
+};
+
+struct PairHash {
+  std::size_t operator()(const Pair& p) const {
+    return static_cast<std::size_t>((p.good * 0x9e3779b97f4a7c15ull) ^ p.bad);
+  }
 };
 
 /// Distinct single-step behaviours from one pair under one fault: inputs
@@ -41,12 +144,27 @@ struct StepClass {
   bool operator==(const StepClass&) const = default;
 };
 
+struct StepClassHash {
+  std::size_t operator()(const StepClass& c) const {
+    return static_cast<std::size_t>((c.diff * 0x9e3779b97f4a7c15ull) ^
+                                    PairHash{}(c.next));
+  }
+};
+
+using StepClassSet = FlatSet<StepClass, StepClassHash>;
+
+/// Groups the 2^r inputs of one (golden, faulty) row pair into their
+/// distinct step classes, ascending — the order the DFS visits them in.
+/// The inputs collapse into a handful of classes, so they are deduplicated
+/// through `seen` (reused across calls) and only the distinct classes are
+/// sorted.
 std::vector<StepClass> step_classes(const std::vector<std::uint64_t>& golden,
                                     const std::vector<std::uint64_t>& faulty,
                                     const fsm::FsmCircuit& c,
-                                    DiffSemantics semantics) {
-  std::vector<StepClass> classes;
-  classes.reserve(16);
+                                    DiffSemantics semantics,
+                                    StepClassSet& seen) {
+  seen.reset();
+  StepClass prev;
   for (std::size_t a = 0; a < golden.size(); ++a) {
     StepClass cls;
     cls.diff = golden[a] ^ faulty[a];
@@ -54,10 +172,12 @@ std::vector<StepClass> step_classes(const std::vector<std::uint64_t>& golden,
     cls.next.good = semantics == DiffSemantics::kMachineLevel
                         ? c.next_state_of(golden[a])
                         : cls.next.bad;  // re-anchor to the real register
-    classes.push_back(cls);
+    if (a > 0 && cls == prev) continue;  // neighbouring inputs often agree
+    prev = cls;
+    seen.insert(cls);
   }
+  std::vector<StepClass> classes(seen.begin(), seen.end());
   std::sort(classes.begin(), classes.end());
-  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
   return classes;
 }
 
@@ -108,7 +228,7 @@ bool dominated(const ErroneousCase& ec, const CaseSet& set) {
       }
     }
     sub.length = static_cast<std::uint8_t>(m);
-    if (set.count(sub)) return true;
+    if (set.contains(sub)) return true;
   }
   return false;
 }
@@ -176,18 +296,18 @@ struct SharedValves {
   }
 };
 
-/// One extraction worker: walks its shard of the fault list with a private
-/// FaultyCache per fault and private per-latency case sets, reading golden
-/// rows through a GoldenView over the pre-populated shared cache. Identical
-/// to the old serial Extractor except that the budget valves live in
+/// One extraction worker: walks its shard of the fault list through a
+/// private FaultSim (one armed fault at a time, golden rows from the shared
+/// pre-populated cache) into private per-latency case sets. Identical to
+/// the old serial Extractor except that the budget valves live in
 /// SharedValves.
 class ShardWorker {
  public:
   ShardWorker(const fsm::FsmCircuit& circuit, const ExtractOptions& opts,
-              const sim::GoldenCache& shared_golden,
+              const sim::CircuitSim& shared_golden,
               std::span<const std::uint64_t> activation_codes,
               SharedValves& valves, int num_shards)
-      : circuit_(circuit), opts_(opts), golden_(shared_golden),
+      : circuit_(circuit), opts_(opts), sim_(shared_golden),
         activation_codes_(activation_codes), valves_(valves),
         tables_(static_cast<std::size_t>(opts.latency)),
         sets_(static_cast<std::size_t>(opts.latency)),
@@ -208,14 +328,13 @@ class ShardWorker {
   void run(std::span<const sim::StuckAtFault> faults) {
     for (const auto& f : faults) {
       if (stopped()) break;
-      sim::FaultyCache faulty(circuit_, f);
+      sim_.arm(f.injection());
+      classes_.clear();
       bool detectable = false;
       for (std::uint64_t c : activation_codes_) {
         if (stopped()) break;
         check_deadline();
-        const auto classes = step_classes(golden_.rows(c), faulty.rows(c),
-                                          circuit_, opts_.semantics);
-        for (const auto& cls : classes) {
+        for (const auto& cls : classes_of(Pair{c, c})) {
           if (cls.diff == 0) continue;  // fault dormant: not an activation
           detectable = true;
           for (auto& t : tables_) ++t.num_activations;
@@ -225,7 +344,7 @@ class ShardWorker {
           // ("starting from the first erroneous state", §2): h1, h2, ...
           // The activation state c is not part of the loop-detection set.
           path_states_[0] = cls.next;
-          descend(faulty, cls.next, 1);
+          descend(cls.next, 1);
         }
       }
       if (detectable) {
@@ -236,9 +355,22 @@ class ShardWorker {
 
   const std::vector<DetectabilityTable>& tables() const { return tables_; }
   std::vector<CaseSet>& sets() { return sets_; }
+  const sim::SimCounters& sim_counters() const { return sim_.counters(); }
 
  private:
   bool stopped() const { return valves_.stop.load(std::memory_order_relaxed); }
+
+  /// Step classes of `pair` under the current fault, classified once per
+  /// fault: the DFS revisits the same few pairs along many paths.
+  const std::vector<StepClass>& classes_of(const Pair& pair) {
+    auto [it, fresh] = classes_.try_emplace(pair);
+    if (fresh) {
+      it->second = step_classes(sim_.golden(pair.good).rows,
+                                sim_.faulty_rows(pair.bad), circuit_,
+                                opts_.semantics, seen_);
+    }
+    return it->second;
+  }
 
   bool frozen(std::size_t t) const {
     return valves_.frozen[t].load(std::memory_order_relaxed);
@@ -246,13 +378,10 @@ class ShardWorker {
 
   /// Extends the current path from `pair` at step index `depth`
   /// (diffs_[0..depth-1] and path_states_[0..depth-1] are filled).
-  void descend(sim::FaultyCache& faulty, const Pair& pair, int depth) {
+  void descend(const Pair& pair, int depth) {
     if (depth == opts_.latency || stopped()) return;
     if ((++tick_ & 1023u) == 0) check_deadline();
-    const auto classes = step_classes(golden_.rows(pair.good),
-                                      faulty.rows(pair.bad), circuit_,
-                                      opts_.semantics);
-    for (const auto& cls : classes) {
+    for (const auto& cls : classes_of(pair)) {
       if (stopped()) return;
       diffs_[static_cast<std::size_t>(depth)] = cls.diff;
       record(depth + 1);
@@ -274,7 +403,7 @@ class ShardWorker {
         }
       } else if (!extensions_redundant(depth + 1)) {
         path_states_[static_cast<std::size_t>(depth)] = cls.next;
-        descend(faulty, cls.next, depth + 1);
+        descend(cls.next, depth + 1);
       }
     }
   }
@@ -291,7 +420,7 @@ class ShardWorker {
     const ErroneousCase prefix = canonicalize(diffs_.data(), len);
     for (int t = len + 1; t <= opts_.latency; ++t) {
       const auto& set = sets_[static_cast<std::size_t>(t - 1)];
-      if (!set.count(prefix) && !dominated(prefix, set)) return false;
+      if (!set.contains(prefix) && !dominated(prefix, set)) return false;
     }
     return true;
   }
@@ -375,7 +504,11 @@ class ShardWorker {
 
   const fsm::FsmCircuit& circuit_;
   const ExtractOptions& opts_;
-  sim::GoldenView golden_;
+  sim::FaultSim sim_;
+  StepClassSet seen_;  ///< step_classes' dedupe table, reused
+  /// Step classes per pair under the current fault (node-based, so
+  /// references stay valid while deeper DFS levels add pairs).
+  std::unordered_map<Pair, std::vector<StepClass>, PairHash> classes_;
   std::span<const std::uint64_t> activation_codes_;
   SharedValves& valves_;
   std::vector<DetectabilityTable> tables_;  ///< local statistics only
@@ -387,6 +520,24 @@ class ShardWorker {
   std::array<std::uint64_t, kMaxLatency> diffs_{};
   std::array<Pair, kMaxLatency + 1> path_states_{};
 };
+
+/// Fills the shared golden model with every activation code and returns
+/// the codes: the reachable ones, or all 2^s under !restrict_to_reachable.
+/// Filled up front, the cache is read-only during the fan-out; faulty
+/// walks reaching other codes go through each worker's private overlay.
+std::vector<std::uint64_t> populate_activations(sim::CircuitSim& golden,
+                                                const ExtractOptions& opts) {
+  const fsm::FsmCircuit& circuit = golden.circuit();
+  if (opts.restrict_to_reachable) {
+    return golden.populate_reachable(circuit.enc.reset_code);
+  }
+  std::vector<std::uint64_t> codes;
+  for (std::uint64_t c = 0; c <= circuit.state_mask(); ++c) {
+    codes.push_back(c);
+  }
+  golden.populate(codes);
+  return codes;
+}
 
 }  // namespace
 
@@ -407,21 +558,9 @@ std::vector<DetectabilityTable> extract_cases_multi(
     tables[static_cast<std::size_t>(p - 1)].num_faults = faults.size();
   }
 
-  std::vector<std::uint64_t> activation_codes;
-  if (opts.restrict_to_reachable) {
-    activation_codes = sim::reachable_codes(circuit, circuit.enc.reset_code);
-  } else {
-    for (std::uint64_t c = 0; c <= circuit.state_mask(); ++c) {
-      activation_codes.push_back(c);
-    }
-  }
-
-  // The golden model is shared read-only state across workers: simulate
-  // every activation code up front so the fan-out only reads it. (Faulty
-  // walks can still reach codes outside this set; those go through each
-  // worker's private GoldenView overlay.)
-  sim::GoldenCache golden(circuit);
-  golden.populate(activation_codes);
+  sim::CircuitSim golden(circuit);
+  const std::vector<std::uint64_t> activation_codes =
+      populate_activations(golden, opts);
 
   // Shard the fault list in fixed contiguous blocks. The shard partition —
   // not the execution interleaving — determines each worker's output, and
@@ -452,6 +591,7 @@ std::vector<DetectabilityTable> extract_cases_multi(
     if (opts.obs.metrics != nullptr) {
       obs::MetricsShard mshard(opts.obs.metrics);
       mshard.add("ced_extract_shards_total");
+      sim::record_counters(mshard, worker->sim_counters());
     }
     workers[s] = std::move(worker);
   });
@@ -648,16 +788,9 @@ std::vector<DetectabilityTable> extract_cases_sharded(
   }
   const std::size_t skipped = missing.size() - allowed;
   if (allowed > 0) {
-    std::vector<std::uint64_t> activation_codes;
-    if (opts.restrict_to_reachable) {
-      activation_codes = sim::reachable_codes(circuit, circuit.enc.reset_code);
-    } else {
-      for (std::uint64_t c = 0; c <= circuit.state_mask(); ++c) {
-        activation_codes.push_back(c);
-      }
-    }
-    sim::GoldenCache golden(circuit);
-    golden.populate(activation_codes);
+    sim::CircuitSim golden(circuit);
+    const std::vector<std::uint64_t> activation_codes =
+        populate_activations(golden, opts);
 
     parallel_for(resolve_threads(opts.threads), allowed, [&](std::size_t i) {
       const std::uint32_t s = missing[i];
@@ -674,6 +807,7 @@ std::vector<DetectabilityTable> extract_cases_sharded(
         obs::MetricsShard mshard(opts.obs.metrics);
         mshard.add("ced_extract_shards_total");
         mshard.add("ced_extract_shards_computed_total");
+        sim::record_counters(mshard, worker.sim_counters());
       }
       ExtractShard sh =
           shard_from_worker(worker, valves, s,

@@ -11,7 +11,6 @@
 #include "core/resilience.hpp"
 #include "fsm/synthesize.hpp"
 #include "obs/trace.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/faults.hpp"
 
 namespace ced::core {

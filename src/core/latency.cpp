@@ -4,7 +4,7 @@
 #include <unordered_set>
 
 #include "core/erroneous_case.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/compiled_sim.hpp"
 
 namespace ced::core {
 namespace {
@@ -12,13 +12,13 @@ namespace {
 /// Depth-capped DFS over the faulty machine's walk: returns the length of
 /// the longest loop-free path starting at `state` (the path ends when a
 /// state repeats or the cap is hit).
-int longest_loop_free(const fsm::FsmCircuit& circuit, sim::FaultyCache& faulty,
+int longest_loop_free(const fsm::FsmCircuit& circuit, sim::FaultSim& faulty,
                       std::uint64_t state,
                       std::vector<std::uint64_t>& path, int cap) {
   if (static_cast<int>(path.size()) >= cap) return cap;
   // Distinct successors of `state` under the fault.
   std::vector<std::uint64_t> succ;
-  for (std::uint64_t obs : faulty.rows(state)) {
+  for (std::uint64_t obs : faulty.faulty_rows(state)) {
     succ.push_back(circuit.next_state_of(obs));
   }
   std::sort(succ.begin(), succ.end());
@@ -44,25 +44,26 @@ LatencyAnalysis analyze_useful_latency(
   LatencyAnalysis out;
   out.shortest_loop_per_fault.reserve(faults.size());
 
-  sim::GoldenCache golden(circuit);
+  sim::CircuitSim golden(circuit);
   std::vector<std::uint64_t> activation_codes;
   if (opts.restrict_to_reachable) {
-    activation_codes = sim::reachable_codes(circuit, circuit.enc.reset_code);
+    activation_codes = golden.populate_reachable(circuit.enc.reset_code);
   } else {
     for (std::uint64_t c = 0; c <= circuit.state_mask(); ++c) {
       activation_codes.push_back(c);
     }
   }
+  sim::FaultSim faulty(golden);
 
   for (const auto& f : faults) {
-    sim::FaultyCache faulty(circuit, f);
+    faulty.arm(f.injection());
 
     // Roots: faulty successors of activation transitions (the first
     // erroneous state of every path, §2).
     std::unordered_set<std::uint64_t> roots;
     for (std::uint64_t c : activation_codes) {
-      const auto& good = golden.rows(c);
-      const auto& bad = faulty.rows(c);
+      const auto& good = faulty.golden(c).rows;
+      const auto& bad = faulty.faulty_rows(c);
       for (std::size_t a = 0; a < good.size(); ++a) {
         if (good[a] != bad[a]) {
           roots.insert(circuit.next_state_of(bad[a]));

@@ -5,7 +5,7 @@
 
 #include "logic/factor.hpp"
 #include "logic/opt.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/compiled_sim.hpp"
 
 namespace ced::core {
 
@@ -65,10 +65,9 @@ CedHardware synthesize_ced(const fsm::FsmCircuit& circuit,
   const int vars = hw.r + hw.s;
   std::vector<logic::SopSpec> specs(parities.size(), logic::SopSpec(vars));
   {
-    sim::GoldenCache golden(circuit);
+    sim::CircuitSim golden(circuit);
     std::unordered_set<std::uint64_t> reachable;
-    for (std::uint64_t c :
-         sim::reachable_codes(circuit, circuit.enc.reset_code)) {
+    for (std::uint64_t c : golden.populate_reachable(circuit.enc.reset_code)) {
       reachable.insert(c);
     }
     const std::uint64_t num_codes = std::uint64_t{1} << hw.s;
@@ -83,7 +82,15 @@ CedHardware synthesize_ced(const fsm::FsmCircuit& circuit,
         }
         continue;
       }
-      const auto& rows = golden.rows(code);
+      // Unreachable codes (kept as care points when !dc_unreachable) are
+      // simulated on demand rather than cached.
+      const sim::GoldenState* g = golden.find(code);
+      sim::GoldenState unreached;
+      if (g == nullptr) {
+        unreached = golden.simulate(code);
+        g = &unreached;
+      }
+      const auto& rows = g->rows;
       for (std::uint64_t a = 0; a < num_inputs; ++a) {
         const std::uint64_t alpha = circuit.enc.pack(a, code);
         for (std::size_t l = 0; l < parities.size(); ++l) {

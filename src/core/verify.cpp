@@ -1,7 +1,7 @@
 #include "core/verify.hpp"
 
 #include "core/rng.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/compiled_sim.hpp"
 
 namespace ced::core {
 namespace {

@@ -81,15 +81,16 @@ struct ExhaustiveSearch {
   }
 };
 
-FaultVerdict judge_stuck_exhaustive(const ProtectedMachine& pm,
+FaultVerdict judge_stuck_exhaustive(FaultSession& session,
                                     const StuckAtFault& fault,
                                     std::uint64_t unit,
                                     const CampaignOptions& opts, int horizon) {
+  const ProtectedMachine& pm = session.machine();
   FaultVerdict v;
   v.unit = unit;
   v.histogram.assign(static_cast<std::size_t>(horizon), 0);
   const logic::Injection inj = fault.injection();
-  FaultSession session(pm, &inj);
+  session.arm(&inj);
   ExhaustiveSearch search{session, pm.circuit(), opts.persistence, {}};
   const std::uint64_t num_inputs = pm.num_inputs();
 
@@ -114,15 +115,16 @@ FaultVerdict judge_stuck_exhaustive(const ProtectedMachine& pm,
   return v;
 }
 
-FaultVerdict judge_stuck_walks(const ProtectedMachine& pm,
+FaultVerdict judge_stuck_walks(FaultSession& session,
                                const StuckAtFault& fault, std::uint64_t unit,
                                std::uint64_t unit_index,
                                const CampaignOptions& opts, int horizon) {
+  const ProtectedMachine& pm = session.machine();
   FaultVerdict v;
   v.unit = unit;
   v.histogram.assign(static_cast<std::size_t>(horizon), 0);
   const logic::Injection inj = fault.injection();
-  FaultSession session(pm, &inj);
+  session.arm(&inj);
   const fsm::FsmCircuit& circuit = pm.circuit();
   const std::uint64_t input_mask = pm.num_inputs() - 1;
   const core::Rng unit_rng = core::Rng(opts.seed).stream(unit_index);
@@ -175,13 +177,14 @@ FaultVerdict judge_stuck_walks(const ProtectedMachine& pm,
   return v;
 }
 
-FaultVerdict judge_flip_walks(const ProtectedMachine& pm, std::uint64_t mask,
+FaultVerdict judge_flip_walks(FaultSession& session, std::uint64_t mask,
                               std::uint64_t unit_index,
                               const CampaignOptions& opts, int horizon) {
+  const ProtectedMachine& pm = session.machine();
   FaultVerdict v;
   v.unit = mask;
   v.histogram.assign(static_cast<std::size_t>(horizon), 0);
-  FaultSession session(pm, nullptr);  // the logic stays fault-free
+  session.arm(nullptr);  // the logic stays fault-free
   const fsm::FsmCircuit& circuit = pm.circuit();
   const std::uint64_t input_mask = pm.num_inputs() - 1;
   const int s = circuit.s();
@@ -227,7 +230,7 @@ FaultVerdict judge_flip_walks(const ProtectedMachine& pm, std::uint64_t mask,
   return v;
 }
 
-FaultVerdict judge_unit(const ProtectedMachine& pm,
+FaultVerdict judge_unit(FaultSession& session,
                         std::span<const StuckAtFault> faults,
                         std::span<const std::uint64_t> units,
                         std::uint64_t unit_index, const CampaignOptions& opts,
@@ -236,11 +239,11 @@ FaultVerdict judge_unit(const ProtectedMachine& pm,
   if (opts.model == FaultModel::kStuckAt) {
     const StuckAtFault& fault = faults[unit_index];
     if (opts.policy == CampaignPolicy::kExhaustive) {
-      return judge_stuck_exhaustive(pm, fault, unit, opts, horizon);
+      return judge_stuck_exhaustive(session, fault, unit, opts, horizon);
     }
-    return judge_stuck_walks(pm, fault, unit, unit_index, opts, horizon);
+    return judge_stuck_walks(session, fault, unit, unit_index, opts, horizon);
   }
-  return judge_flip_walks(pm, unit, unit_index, opts, horizon);
+  return judge_flip_walks(session, unit, unit_index, opts, horizon);
 }
 
 void absorb_netlist(Digest128& d, const logic::Netlist& net) {
@@ -465,6 +468,7 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
     obs::ScopedSpan shard_span(sinks, "campaign-shard");
     shard_span.attr("shard", static_cast<std::uint64_t>(i));
     obs::MetricsShard ms(sinks.metrics);
+    FaultSession session(pm);  // golden overlays shared by the shard's units
     CampaignShard sh;
     sh.index = static_cast<std::uint32_t>(i);
     sh.num_shards = static_cast<std::uint32_t>(num_shards);
@@ -473,7 +477,7 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
         tripped[i] = 1;
         break;
       }
-      FaultVerdict v = judge_unit(pm, faults, units,
+      FaultVerdict v = judge_unit(session, faults, units,
                                   static_cast<std::uint64_t>(u), opts, horizon);
       ms.add("ced_campaign_units_total");
       ms.add("ced_campaign_activations_total", v.activations);
@@ -487,6 +491,9 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       }
       sh.verdicts.push_back(std::move(v));
     }
+    record_counters(ms, session.sim_counters());
+    ms.add("ced_campaign_checker_batches_reused_total",
+           session.checker_batches_reused());
     shards[i] = std::move(sh);
     have[i] = 1;
     if (!tripped[i] && hooks.save) hooks.save(shards[i]);

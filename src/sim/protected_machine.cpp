@@ -4,77 +4,24 @@
 
 namespace ced::sim {
 
-std::vector<std::uint64_t> checker_error_mask(
-    const core::CedHardware& hw, std::uint64_t state_code,
-    std::span<const std::uint64_t> responses) {
-  const int r = hw.r;
-  const int s = hw.s;
-  const int n = hw.n;
-  const logic::Netlist& nl = hw.checker;
-  const std::uint64_t num_inputs = responses.size();
-  const std::size_t error_index =
-      static_cast<std::size_t>(2 * hw.q + (hw.two_rail ? 2 : 0));
-  const std::uint32_t error_net = nl.outputs()[error_index];
-
-  std::vector<std::uint64_t> mask((num_inputs + 63) / 64, 0);
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(r + s + n), 0);
-  std::vector<std::uint64_t> values;
-
-  // Same batching scheme as simulate_all_inputs: pattern t of the batch at
-  // `base` is concrete input value base + t, so input bit i < 6 is a stripe
-  // constant and bits >= 6 are fixed within a batch.
-  static constexpr std::uint64_t kStripe[6] = {
-      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-
-  for (int b = 0; b < s; ++b) {
-    words[static_cast<std::size_t>(r + b)] =
-        ((state_code >> b) & 1) ? ~std::uint64_t{0} : 0;
-  }
-
-  const std::uint64_t batch_count = (num_inputs + 63) / 64;
-  for (std::uint64_t batch = 0; batch < batch_count; ++batch) {
-    const std::uint64_t base = batch * 64;
-    const std::uint64_t in_batch =
-        std::min<std::uint64_t>(64, num_inputs - base);
-    for (int i = 0; i < r; ++i) {
-      if (i < 6) {
-        words[static_cast<std::size_t>(i)] = kStripe[i];
-      } else {
-        words[static_cast<std::size_t>(i)] =
-            ((base >> i) & 1) ? ~std::uint64_t{0} : 0;
-      }
-    }
-    // Observable bits: transpose the batch's response words so word r+s+o
-    // carries bit o of responses[base + t] at pattern position t.
-    for (int o = 0; o < n; ++o) {
-      std::uint64_t w = 0;
-      for (std::uint64_t t = 0; t < in_batch; ++t) {
-        w |= ((responses[base + t] >> o) & 1) << t;
-      }
-      words[static_cast<std::size_t>(r + s + o)] = w;
-    }
-    nl.eval(words, values);
-    std::uint64_t err = values[error_net];
-    if (in_batch < 64) err &= (std::uint64_t{1} << in_batch) - 1;
-    mask[batch] = err;
-  }
-  return mask;
-}
-
 ProtectedMachine::ProtectedMachine(const fsm::FsmCircuit& circuit,
                                    const core::CedHardware& hw)
-    : circuit_(circuit), hw_(hw) {
+    : circuit_(circuit), hw_(hw), fsm_(circuit), checker_(hw.checker) {
   if (hw.r != circuit.r() || hw.s != circuit.s() || hw.n != circuit.n()) {
     throw std::invalid_argument(
         "ProtectedMachine: checker interface does not match the circuit");
   }
-  reachable_ = reachable_codes(circuit, circuit.enc.reset_code);
+  if (checker_.num_inputs() != static_cast<std::size_t>(hw.r + hw.s + hw.n)) {
+    throw std::invalid_argument(
+        "ProtectedMachine: checker inputs are not r + s + n");
+  }
+  // Output order: q compacted, q predicted, [rail0, rail1,] error.
+  error_net_ = checker_.outputs()[static_cast<std::size_t>(
+      2 * hw.q + (hw.two_rail ? 2 : 0))];
+  reachable_ = fsm_.populate_reachable(circuit.enc.reset_code);
+  CheckerScratch sc = scratch();
   for (const std::uint64_t code : reachable_) {
-    TransitionRow row;
-    row.response = simulate_all_inputs(circuit_, code);
-    row.error = checker_error_mask(hw_, code, row.response);
-    golden_.emplace(code, std::move(row));
+    golden_.emplace(code, fault_free_row(*fsm_.find(code), code, sc));
   }
 }
 
@@ -84,27 +31,76 @@ const TransitionRow* ProtectedMachine::golden_row(
   return it == golden_.end() ? nullptr : &it->second;
 }
 
-FaultSession::FaultSession(const ProtectedMachine& pm,
-                           const logic::Injection* injection)
-    : pm_(pm), injection_(injection) {}
+CheckerScratch ProtectedMachine::scratch() const {
+  CheckerScratch sc;
+  sc.words.assign(checker_.num_inputs(), 0);
+  sc.values.assign(checker_.num_nets(), 0);
+  return sc;
+}
 
-TransitionRow FaultSession::simulate(std::uint64_t state_code,
-                                     const logic::Injection* injection) const {
+std::uint64_t ProtectedMachine::checker_word(std::uint64_t state_code,
+                                             std::uint64_t b,
+                                             CheckerScratch& sc) const {
+  fill_batch_inputs(hw_.r, hw_.s, state_code, b, sc.words.data());
+  checker_.eval(sc.words.data(), sc.values.data());
+  return sc.values[error_net_] & batch_valid_mask(hw_.r, b);
+}
+
+TransitionRow ProtectedMachine::fault_free_row(const GoldenState& g,
+                                               std::uint64_t state_code,
+                                               CheckerScratch& sc) const {
+  const std::uint32_t nets = fsm_.netlist().num_nets();
+  const auto outputs = fsm_.netlist().outputs();
+  const auto obs = static_cast<std::size_t>(hw_.r + hw_.s);
   TransitionRow row;
-  row.response = simulate_all_inputs(pm_.circuit(), state_code, injection);
-  row.error = checker_error_mask(pm_.hw(), state_code, row.response);
+  row.response = g.rows;
+  row.error.resize(fsm_.num_batches());
+  for (std::uint64_t b = 0; b < fsm_.num_batches(); ++b) {
+    for (std::size_t o = 0; o < outputs.size(); ++o) {
+      sc.words[obs + o] = g.nets[b * nets + outputs[o]];
+    }
+    row.error[b] = checker_word(state_code, b, sc);
+  }
   return row;
 }
 
+FaultSession::FaultSession(const ProtectedMachine& pm)
+    : pm_(pm), sim_(pm.fsm()), scratch_(pm.scratch()) {}
+
+void FaultSession::arm(const logic::Injection* injection) {
+  armed_ = injection != nullptr;
+  if (armed_) sim_.arm(*injection);
+  faulty_.clear();
+  owned_.clear();
+}
+
 const TransitionRow& FaultSession::faulty_row(std::uint64_t state_code) {
-  auto it = faulty_.find(state_code);
-  if (it == faulty_.end()) {
-    if (injection_ == nullptr) {
-      throw std::logic_error("FaultSession: faulty_row without an injection");
-    }
-    it = faulty_.emplace(state_code, simulate(state_code, injection_)).first;
+  if (const auto it = faulty_.find(state_code); it != faulty_.end()) {
+    return *it->second;
   }
-  return it->second;
+  if (!armed_) {
+    throw std::logic_error("FaultSession: faulty_row without an injection");
+  }
+  const GoldenState& g = sim_.golden(state_code);
+  const TransitionRow& gold = golden_row(state_code);
+  const auto obs = static_cast<std::size_t>(pm_.hw().r + pm_.hw().s);
+  const std::size_t n = pm_.fsm().netlist().outputs().size();
+  TransitionRow* row = nullptr;
+  for (std::uint64_t b = 0; b < pm_.fsm().num_batches(); ++b) {
+    if (!sim_.simulate_batch(g, b)) {
+      ++reused_;  // responses equal golden: so does the checker verdict
+      continue;
+    }
+    if (row == nullptr) row = &owned_.emplace_back(gold);
+    sim_.patch_rows(g, b, row->response.data() + b * 64);
+    for (std::size_t o = 0; o < n; ++o) {
+      scratch_.words[obs + o] = sim_.output_word(g, b, o);
+    }
+    row->error[b] = pm_.checker_word(state_code, b, scratch_);
+  }
+  const TransitionRow* out = row != nullptr ? row : &gold;
+  faulty_.emplace(state_code, out);
+  return *out;
 }
 
 const TransitionRow& FaultSession::golden_row(std::uint64_t state_code) {
@@ -113,7 +109,10 @@ const TransitionRow& FaultSession::golden_row(std::uint64_t state_code) {
   }
   auto it = golden_local_.find(state_code);
   if (it == golden_local_.end()) {
-    it = golden_local_.emplace(state_code, simulate(state_code, nullptr))
+    it = golden_local_
+             .emplace(state_code,
+                      pm_.fault_free_row(sim_.golden(state_code), state_code,
+                                         scratch_))
              .first;
   }
   return it->second;

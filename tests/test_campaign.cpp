@@ -40,7 +40,7 @@
 #include "core/parity_synth.hpp"
 #include "core/run.hpp"
 #include "core/rng.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/compiled_sim.hpp"
 #include "sim/faults.hpp"
 #include "storage/format.hpp"
 #include "storage/store.hpp"

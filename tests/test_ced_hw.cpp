@@ -5,7 +5,7 @@
 #include "benchdata/handwritten.hpp"
 #include "core/duplication.hpp"
 #include "kiss/kiss.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/compiled_sim.hpp"
 
 namespace ced::core {
 namespace {

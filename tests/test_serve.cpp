@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -735,6 +736,15 @@ TEST_F(ServeTest, MalformedWireCorpusNeverKillsTheDaemon) {
   ASSERT_TRUE(resp.has_value()) << resp.status().to_text();
   EXPECT_EQ(resp->state, "ready");
   EXPECT_GE(counter(server, "ced_serve_invalid_frames_total"), 6u);
+  // The torn-frame connection is reaped asynchronously, so the health
+  // reply can overtake its accounting: poll (bounded at 5 s) before
+  // asserting.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (counter(server, "ced_serve_torn_frames_total") < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_GE(counter(server, "ced_serve_torn_frames_total"), 1u);
   server.drain();
 }

@@ -1,4 +1,4 @@
-#include "sim/fault_sim.hpp"
+#include "sim/compiled_sim.hpp"
 
 #include <gtest/gtest.h>
 
@@ -78,8 +78,9 @@ TEST(Faults, CollapsingPreservesDetectionEquivalence) {
 
 TEST(FaultSim, AllInputsMatchesSingleEval) {
   const fsm::FsmCircuit c = circuit_for("vending");
+  const CircuitSim sim(c);
   for (std::uint64_t code = 0; code < 4; ++code) {
-    const auto rows = simulate_all_inputs(c, code);
+    const auto rows = sim.simulate(code).rows;
     for (std::uint64_t a = 0; a < rows.size(); ++a) {
       EXPECT_EQ(rows[a], c.eval(a, code)) << "code " << code << " a " << a;
     }
@@ -90,10 +91,13 @@ TEST(FaultSim, AllInputsMatchesSingleEvalWithFault) {
   const fsm::FsmCircuit c = circuit_for("arbiter");
   const auto faults = enumerate_stuck_at(c.netlist);
   ASSERT_FALSE(faults.empty());
+  const CircuitSim sim(c);
+  FaultSim fs(sim);
   // Spot-check a few faults across the list.
   for (std::size_t fi = 0; fi < faults.size(); fi += 7) {
     const logic::Injection inj = faults[fi].injection();
-    const auto rows = simulate_all_inputs(c, 2, &inj);
+    fs.arm(inj);
+    const auto rows = fs.faulty_rows(2);
     for (std::uint64_t a = 0; a < rows.size(); ++a) {
       EXPECT_EQ(rows[a], c.eval(a, 2, &inj));
     }
@@ -111,7 +115,7 @@ TEST(FaultSim, WideInputMachineBatches) {
 )";
   const fsm::Fsm f = fsm::Fsm::from_kiss(kiss::parse(wide));
   const fsm::FsmCircuit c = fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
-  const auto rows = simulate_all_inputs(c, 0);
+  const auto rows = CircuitSim(c).simulate(0).rows;
   ASSERT_EQ(rows.size(), 128u);
   for (std::uint64_t a = 0; a < 128; ++a) {
     EXPECT_EQ(rows[a], c.eval(a, 0));
@@ -120,11 +124,24 @@ TEST(FaultSim, WideInputMachineBatches) {
 
 TEST(FaultSim, GoldenCacheIsConsistent) {
   const fsm::FsmCircuit c = circuit_for("modulo5");
-  GoldenCache cache(c);
-  const auto& r1 = cache.rows(1);
-  const auto& r2 = cache.rows(1);
-  EXPECT_EQ(&r1, &r2);  // cached
-  EXPECT_EQ(r1, simulate_all_inputs(c, 1));
+  CircuitSim cache(c);
+  EXPECT_EQ(cache.find(1), nullptr);
+  const std::uint64_t code = 1;
+  cache.populate({&code, 1});
+  const GoldenState* shared = cache.find(1);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(cache.find(1), shared);  // cached
+  EXPECT_EQ(shared->rows, cache.simulate(1).rows);
+  EXPECT_EQ(shared->nets, cache.simulate(1).nets);
+
+  // A worker reads populated codes from the shared cache and simulates
+  // every other code once into its private overlay.
+  FaultSim worker(cache);
+  EXPECT_EQ(&worker.golden(1), shared);
+  const GoldenState& local = worker.golden(2);
+  EXPECT_EQ(&worker.golden(2), &local);
+  EXPECT_EQ(cache.find(2), nullptr);
+  EXPECT_EQ(local.rows, cache.simulate(2).rows);
 }
 
 TEST(FaultSim, ReachableCodesCoversStgReachable) {

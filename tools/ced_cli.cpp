@@ -363,6 +363,32 @@ void write_text_file(const std::string& path, const std::string& text) {
   if (!out.flush()) throw InvalidInputError("cannot write " + path);
 }
 
+/// The fault simulator's screen and cone figures from a run's counters:
+/// how many faulty batches the screen answered without simulating, and
+/// how many gates a simulated batch re-evaluated on average. Empty when
+/// nothing was simulated (e.g. a warm store hit).
+std::string simulator_summary(const obs::MetricsSnapshot& snap) {
+  const auto count = [&](const char* name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  const std::uint64_t screened = count("ced_sim_batches_screened_total");
+  const std::uint64_t simulated = count("ced_sim_batches_simulated_total");
+  const std::uint64_t evals = count("ced_sim_cone_gate_evals_total");
+  if (screened + simulated == 0) return "";
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "fault simulation: %.1f%% of %llu faulty batches screened; "
+                "mean cone %.1f gates per simulated batch\n",
+                100.0 * static_cast<double>(screened) /
+                    static_cast<double>(screened + simulated),
+                static_cast<unsigned long long>(screened + simulated),
+                simulated == 0 ? 0.0
+                               : static_cast<double>(evals) /
+                                     static_cast<double>(simulated));
+  return buf;
+}
+
 int cmd_protect(int argc, char** argv) {
   if (argc < 3) return usage();
   fsm::Fsm f = load_machine(argv[2]);
@@ -558,8 +584,9 @@ int cmd_protect(int argc, char** argv) {
                     obs::trace_json(tracer.snapshot(), tracer.dropped()));
   }
   if (explain) {
-    std::fputs(obs::explain_tree(tracer.snapshot(), metrics.snapshot()).c_str(),
-               stdout);
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    std::fputs(obs::explain_tree(tracer.snapshot(), snap).c_str(), stdout);
+    std::fputs(simulator_summary(snap).c_str(), stdout);
   }
   if (g_interrupted.load(std::memory_order_relaxed)) {
     // Documented contract: interruption is exit 3. Everything durable

@@ -6,14 +6,18 @@
 #                          # + full ctest under sanitizers, then TSan build
 #                          # + full ctest with 4 worker threads
 #   tools/ci.sh --fast     # ASan+UBSan pass runs only the resilience,
-#                          # parser, storage and LP-solver suites (the
-#                          # crash-prone surface: budget valves, malformed
-#                          # input, corrupt-artifact fault injection, and
-#                          # the sparse simplex's pointer arithmetic);
-#                          # TSan pass runs only the concurrency-bearing
-#                          # suites (parallel extraction, pipeline,
-#                          # resume, and the warm-started LP under a
-#                          # 4-thread solver)
+#                          # parser, storage, LP-solver and compiled-
+#                          # simulator suites (the crash-prone surface:
+#                          # budget valves, malformed input, corrupt-
+#                          # artifact fault injection, the sparse
+#                          # simplex's pointer arithmetic, and the
+#                          # simulator's CSR walks and row patching — the
+#                          # per-circuit MCNC differential runs only in the
+#                          # full pass); TSan pass runs only the
+#                          # concurrency-bearing suites (parallel
+#                          # extraction, pipeline, resume, the warm-started
+#                          # LP under a 4-thread solver, and workers
+#                          # sharing the compiled simulator's golden cache)
 #
 # Run from anywhere; paths resolve relative to the repo root.
 
@@ -196,7 +200,7 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset asan-ubsan -j "$jobs" \
-      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex'
+      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CompiledSim\.|CompiledSimSession'
 else
   ctest --preset asan-ubsan -j "$jobs"
 fi
@@ -206,7 +210,7 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset tsan -j "$jobs" \
-      -R 'Parallel|Resilience|Pipeline|Resume|Serve|Campaign|RevisedLp'
+      -R 'Parallel|Resilience|Pipeline|Resume|Serve|Campaign|RevisedLp|CompiledSim\.'
 else
   ctest --preset tsan -j "$jobs"
 fi
