@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/cpu.hpp"
-#include "common/exec.hpp"
 #include "core/extract.hpp"
 #include "core/parity.hpp"
 
@@ -15,33 +14,6 @@ namespace detail {
 struct KernelOps;
 struct KernelShape;
 }  // namespace detail
-
-/// Which cover-evaluation implementation the solvers use — the oracle
-/// chain, slowest and most transparent first:
-///
-/// `kScalar` keeps the original per-case popcount loops from
-/// core/parity.hpp as a reference oracle; `kBitsliced` evaluates parity
-/// coverage on the transposed table (CoverKernel below) with plain
-/// 64-bit word loops; `kSimd` (the default) runs the same bit-sliced
-/// math through the runtime-dispatched vector engine (AVX2 / NEON, see
-/// common/cpu.hpp — degrading to scalar word loops on hosts without a
-/// vector unit) plus the cache-blocked CoverBatch passes that amortize
-/// one walk over the columns across many candidate betas. All three
-/// compute the same exact GF(2) quantities with the same acceptance
-/// order, so the final q and the selected parity functions are
-/// byte-identical — the slower modes exist for verification and as
-/// escape hatches, never to change results.
-enum class KernelMode {
-  kBitsliced,
-  kScalar,
-  kSimd,
-};
-
-/// Resolved evaluation mode: the ambient ExecPolicy's kernel field if
-/// pinned (ScopedExecPolicy / RunConfig::Builder::exec / a ced_serve
-/// request), else the CED_KERNEL environment variable
-/// ("scalar" | "bitsliced" | "simd", read once), else simd.
-KernelMode kernel_mode();
 
 /// Bit-sliced (transposed) view of a DetectabilityTable, built once and
 /// queried many times by the Statement-4 solvers.
@@ -63,6 +35,12 @@ KernelMode kernel_mode();
 /// row r of a subset kernel corresponds to table row rows[r] (queries
 /// report local indices in `rows` order, which matches the scalar
 /// uncovered_among iteration order).
+///
+/// Every pass runs through the vector engine of the level the host
+/// supports (AVX2 / NEON, see common/cpu.hpp), which degrades to plain
+/// 64-bit word loops on hosts without a vector unit; the math is exact
+/// GF(2) arithmetic either way. The scalar per-case reference these
+/// queries are tested against lives in tests/reference/.
 ///
 /// The kernel is immutable after construction and safe to share across
 /// threads.
@@ -107,13 +85,6 @@ class CoverKernel {
   /// ORs the covered bitmap of `beta` into `acc` (num_words() words).
   void accumulate_covered(ParityFunc beta, std::uint64_t* acc) const;
 
-  /// Same, with a caller-provided scratch buffer (resized to num_words()
-  /// on first use) so per-beta loops don't pay one heap allocation per
-  /// call. The kernel itself is immutable and thread-safe; give each
-  /// thread its own scratch.
-  void accumulate_covered(ParityFunc beta, std::uint64_t* acc,
-                          std::vector<std::uint64_t>& scratch) const;
-
   /// True iff the set covers every local row (exact Statement-4 test).
   bool covers_all(std::span<const ParityFunc> betas) const;
 
@@ -131,11 +102,9 @@ class CoverKernel {
   /// Popcount of `bits` restricted to real rows (num_words() words).
   std::size_t count(const std::uint64_t* bits) const;
 
-  /// Vector engine backing this kernel, or nullptr when it was built
-  /// under kScalar/kBitsliced mode (those keep the plain word loops so
-  /// the oracle chain stays three genuinely distinct implementations).
-  /// Captured once at construction from kernel_mode() and simd_level().
-  const detail::KernelOps* engine() const { return engine_; }
+  /// Vector engine backing this kernel, captured once at construction
+  /// from simd_level().
+  const detail::KernelOps& engine() const { return *engine_; }
 
   /// Borrowed view of the column store for the engine passes.
   detail::KernelShape shape() const;
@@ -151,11 +120,7 @@ class CoverKernel {
   std::uint64_t beta_mask_ = 0;  ///< low n_ bits
   std::vector<std::uint64_t> cols_;
   std::vector<std::uint32_t> rows_;  ///< empty = identity (full table)
-  const detail::KernelOps* engine_ = nullptr;  ///< simd mode only
-
-#ifndef NDEBUG
-  const DetectabilityTable* table_ = nullptr;  ///< scalar-oracle cross-check
-#endif
+  const detail::KernelOps* engine_ = nullptr;
 };
 
 /// Incremental single-beta evaluator over a CoverKernel: keeps the per-step
@@ -185,7 +150,7 @@ class BetaCursor {
   /// all num_bits() candidates — the hill-climb's inner loop collapsed
   /// into a single blocked sweep. out.size() must be >= num_bits().
   /// Exact: out[j] == (copy of *this after flip(j)).covered_count()
-  /// (plus base) for every j, in every mode.
+  /// (plus base) for every j.
   void neighbor_counts(std::span<std::size_t> out,
                        const std::uint64_t* base = nullptr) const;
 
@@ -201,17 +166,15 @@ class BetaCursor {
 /// over the (step x bit) column layout, so candidates share column loads
 /// instead of each re-streaming the table (the per-beta loop costs
 /// ~|betas| table walks; the batch costs one). Used by the Algorithm-1
-/// concurrent-rounding trial screen and the greedy seeding scan in simd
-/// mode; always available in every mode (the batch is defined by the
-/// same GF(2) math, so batch-vs-loop results are identical — tests rely
-/// on this).
+/// concurrent-rounding trial screen, the greedy seeding scan and the
+/// one-pass prune. The batch is defined by the same GF(2) math as the
+/// per-beta queries, so batch-vs-loop results are identical — tests rely
+/// on this.
 ///
 /// A CoverBatch borrows its kernel and owns only scratch; it is cheap to
 /// construct and NOT thread-safe — give each thread its own.
 class CoverBatch {
  public:
-  /// Uses the kernel's captured engine when present (simd mode),
-  /// otherwise the scalar-word engine — results identical either way.
   explicit CoverBatch(const CoverKernel& kernel);
 
   const CoverKernel& kernel() const { return *k_; }
@@ -247,7 +210,6 @@ class CoverBatch {
   void prepare(std::span<const ParityFunc> betas);
 
   const CoverKernel* k_;
-  const detail::KernelOps* ops_;
   std::vector<int> bits_;               ///< flattened selected-bit indices
   std::vector<std::size_t> bit_count_;  ///< per beta
 };

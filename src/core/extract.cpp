@@ -1,11 +1,8 @@
 #include "core/extract.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -255,60 +252,19 @@ ErroneousCase strengthen(const ErroneousCase& ec, int k) {
   return s;
 }
 
-/// Budget state shared by every extraction worker. All flags and counters
-/// are polled with relaxed atomics — a tripped valve stops the workers
-/// cooperatively (each notices at its next check), which is exactly the
-/// partial-but-honest truncation semantics of the serial path.
-struct SharedValves {
-  explicit SharedValves(std::size_t num_tables)
-      : frozen(num_tables), reasons(num_tables) {}
-
-  /// Global stop: every table frozen, or the deadline fired.
-  std::atomic<bool> stop{false};
-  /// Per-table freeze flags: a frozen table accepts no further cases
-  /// anywhere; workers keep the rows found so far.
-  std::vector<std::atomic<bool>> frozen;
-  /// Live erroneous cases across all workers' sets (inserts minus cases
-  /// removed by compaction) — the concurrent form of the serial
-  /// `set.size() > max_cases` valve.
-  std::atomic<std::int64_t> cases{0};
-
-  std::mutex reason_mu;
-  std::vector<std::string> reasons;  ///< first freeze reason per table
-
-  bool all_frozen() const {
-    for (const auto& f : frozen) {
-      if (!f.load(std::memory_order_relaxed)) return false;
-    }
-    return true;
-  }
-
-  /// Freezes table t (first caller's reason wins) and stops the run once
-  /// every table is frozen.
-  void freeze(std::size_t t, const std::string& reason) {
-    bool expected = false;
-    if (frozen[t].compare_exchange_strong(expected, true,
-                                          std::memory_order_relaxed)) {
-      const std::lock_guard<std::mutex> lock(reason_mu);
-      reasons[t] = reason;
-    }
-    if (all_frozen()) stop.store(true, std::memory_order_relaxed);
-  }
-};
-
-/// One extraction worker: walks its shard of the fault list through a
+/// One extraction worker: walks one shard of the fault list through a
 /// private FaultSim (one armed fault at a time, golden rows from the shared
-/// pre-populated cache) into private per-latency case sets. Identical to
-/// the old serial Extractor except that the budget valves live in
-/// SharedValves.
+/// pre-populated cache) into private per-latency case sets. Its budget
+/// valves are private too, so what a shard extracts is a pure function of
+/// its fault block and the options, never of the other shards or of
+/// timing.
 class ShardWorker {
  public:
   ShardWorker(const fsm::FsmCircuit& circuit, const ExtractOptions& opts,
               const sim::CircuitSim& shared_golden,
-              std::span<const std::uint64_t> activation_codes,
-              SharedValves& valves, int num_shards)
+              std::span<const std::uint64_t> activation_codes, int num_shards)
       : circuit_(circuit), opts_(opts), sim_(shared_golden),
-        activation_codes_(activation_codes), valves_(valves),
+        activation_codes_(activation_codes),
         tables_(static_cast<std::size_t>(opts.latency)),
         sets_(static_cast<std::size_t>(opts.latency)),
         compact_threshold_(static_cast<std::size_t>(opts.latency),
@@ -353,12 +309,18 @@ class ShardWorker {
     }
   }
 
+  /// Per-latency local statistics; a table a valve froze reports
+  /// `truncated` with the reason.
   const std::vector<DetectabilityTable>& tables() const { return tables_; }
   std::vector<CaseSet>& sets() { return sets_; }
   const sim::SimCounters& sim_counters() const { return sim_.counters(); }
+  bool truncated() const {
+    return std::any_of(tables_.begin(), tables_.end(),
+                       [](const DetectabilityTable& t) { return t.truncated; });
+  }
 
  private:
-  bool stopped() const { return valves_.stop.load(std::memory_order_relaxed); }
+  bool stopped() const { return stop_; }
 
   /// Step classes of `pair` under the current fault, classified once per
   /// fault: the DFS revisits the same few pairs along many paths.
@@ -372,8 +334,19 @@ class ShardWorker {
     return it->second;
   }
 
-  bool frozen(std::size_t t) const {
-    return valves_.frozen[t].load(std::memory_order_relaxed);
+  bool frozen(std::size_t t) const { return tables_[t].truncated; }
+
+  /// Freezes table t: it accepts no further cases and keeps the rows
+  /// found so far (first reason wins). Once every table is frozen the
+  /// walk stops.
+  void freeze(std::size_t t, const std::string& reason) {
+    if (!tables_[t].truncated) {
+      tables_[t].truncated = true;
+      tables_[t].truncation_reason = reason;
+    }
+    stop_ = std::all_of(
+        tables_.begin(), tables_.end(),
+        [](const DetectabilityTable& x) { return x.truncated; });
   }
 
   /// Extends the current path from `pair` at step index `depth`
@@ -433,22 +406,19 @@ class ShardWorker {
   }
 
   /// Cooperative wall-clock check: on expiry, every still-open table is
-  /// frozen with its partial contents and all workers' DFS unwinds.
+  /// frozen with its partial contents and the DFS unwinds.
   void check_deadline() {
     if (stopped() || !opts_.deadline.armed() || !opts_.deadline.expired()) {
       return;
     }
-    for (std::size_t t = 0; t < valves_.frozen.size(); ++t) {
-      valves_.freeze(t, "wall-clock budget exhausted during extraction");
+    for (std::size_t t = 0; t < tables_.size(); ++t) {
+      freeze(t, "wall-clock budget exhausted during extraction");
     }
-    valves_.stop.store(true, std::memory_order_relaxed);
   }
 
-  /// Applies a local set-size change to the shared live-case counter.
+  /// Applies a set-size change to the live-case counter.
   void credit_cases(std::int64_t before, std::int64_t after) {
-    if (after != before) {
-      valves_.cases.fetch_add(after - before, std::memory_order_relaxed);
-    }
+    live_cases_ += after - before;
   }
 
   void insert(ErroneousCase ec, int latency) {
@@ -481,19 +451,15 @@ class ShardWorker {
       credit_cases(pre, static_cast<std::int64_t>(set.size()));
       threshold = std::max<std::size_t>(2 * set.size(), kCompactStart);
     }
-    if (static_cast<std::size_t>(std::max<std::int64_t>(
-            valves_.cases.load(std::memory_order_relaxed), 0)) >
-        opts_.max_cases) {
-      // Recoverable truncation (the old behaviour threw here): compact this
-      // worker's set first; if the global count still overflows, keep the
-      // subset-minimal cases found so far and freeze the table everywhere.
+    if (static_cast<std::size_t>(live_cases_) > opts_.max_cases) {
+      // Recoverable truncation (the old behaviour threw here): compact the
+      // set first; if the shard's count still overflows, keep the
+      // subset-minimal cases found so far and freeze the table.
       const auto pre = static_cast<std::int64_t>(set.size());
       compact(set);
       credit_cases(pre, static_cast<std::int64_t>(set.size()));
-      if (static_cast<std::size_t>(std::max<std::int64_t>(
-              valves_.cases.load(std::memory_order_relaxed), 0)) >
-          opts_.max_cases) {
-        valves_.freeze(
+      if (static_cast<std::size_t>(live_cases_) > opts_.max_cases) {
+        freeze(
             t, "erroneous-case limit (" + std::to_string(opts_.max_cases) +
                    ") exceeded; table holds the cases found so far");
       }
@@ -510,7 +476,8 @@ class ShardWorker {
   /// references stay valid while deeper DFS levels add pairs).
   std::unordered_map<Pair, std::vector<StepClass>, PairHash> classes_;
   std::span<const std::uint64_t> activation_codes_;
-  SharedValves& valves_;
+  bool stop_ = false;            ///< every table frozen, or deadline hit
+  std::int64_t live_cases_ = 0;  ///< cases across sets_ (inserts - compactions)
   std::vector<DetectabilityTable> tables_;  ///< local statistics only
   std::vector<CaseSet> sets_;
   std::vector<std::size_t> compact_threshold_;
@@ -541,104 +508,13 @@ std::vector<std::uint64_t> populate_activations(sim::CircuitSim& golden,
 
 }  // namespace
 
-std::vector<DetectabilityTable> extract_cases_multi(
-    const fsm::FsmCircuit& circuit,
-    std::span<const sim::StuckAtFault> faults, const ExtractOptions& opts) {
-  if (opts.latency < 1 || opts.latency > kMaxLatency) {
-    throw std::invalid_argument("extract_cases: latency out of range");
-  }
-  if (circuit.n() > 64) {
-    throw std::invalid_argument("extract_cases: more than 64 observable bits");
-  }
-  std::vector<DetectabilityTable> tables(
-      static_cast<std::size_t>(opts.latency));
-  for (int p = 1; p <= opts.latency; ++p) {
-    tables[static_cast<std::size_t>(p - 1)].num_bits = circuit.n();
-    tables[static_cast<std::size_t>(p - 1)].latency = p;
-    tables[static_cast<std::size_t>(p - 1)].num_faults = faults.size();
-  }
-
-  sim::CircuitSim golden(circuit);
-  const std::vector<std::uint64_t> activation_codes =
-      populate_activations(golden, opts);
-
-  // Shard the fault list in fixed contiguous blocks. The shard partition —
-  // not the execution interleaving — determines each worker's output, and
-  // the merged, compacted, sorted case lists are identical for every shard
-  // count (see DESIGN.md: the final antichain of subset-minimal canonical
-  // cases is invariant under enumeration order).
-  const int threads = resolve_threads(opts.threads);
-  const int num_shards = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(threads), faults.empty() ? 1 : faults.size()));
-  SharedValves valves(static_cast<std::size_t>(opts.latency));
-
-  std::vector<std::unique_ptr<ShardWorker>> workers(
-      static_cast<std::size_t>(num_shards));
-  const auto bounds = shard_bounds(faults.size(), num_shards);
-  parallel_for(num_shards, workers.size(), [&](std::size_t s) {
-    // Worker spans parent under the caller's extract-stage span via the
-    // explicit parent id — no thread-local ambient state (obs/trace.hpp).
-    obs::ScopedSpan span(opts.obs, "extract-shard");
-    span.attr("shard", static_cast<std::uint64_t>(s));
-    span.attr("faults",
-              static_cast<std::uint64_t>(bounds[s + 1] - bounds[s]));
-    auto worker = std::make_unique<ShardWorker>(
-        circuit, opts, golden, activation_codes, valves, num_shards);
-    worker->run(faults.subspan(bounds[s], bounds[s + 1] - bounds[s]));
-    const DetectabilityTable& deep = worker->tables().back();
-    span.attr("activations", static_cast<std::uint64_t>(deep.num_activations));
-    span.attr("paths", static_cast<std::uint64_t>(deep.num_paths));
-    if (opts.obs.metrics != nullptr) {
-      obs::MetricsShard mshard(opts.obs.metrics);
-      mshard.add("ced_extract_shards_total");
-      sim::record_counters(mshard, worker->sim_counters());
-    }
-    workers[s] = std::move(worker);
-  });
-
-  // Deterministic merge in fixed shard order, then the same
-  // compact-and-sort finish as the serial path: byte-identical tables for
-  // any thread count.
-  for (int p = 1; p <= opts.latency; ++p) {
-    const auto t = static_cast<std::size_t>(p - 1);
-    auto& table = tables[t];
-    CaseSet merged;
-    for (auto& w : workers) {
-      auto& set = w->sets()[t];
-      merged.insert(set.begin(), set.end());
-      set.clear();
-      const DetectabilityTable& lt = w->tables()[t];
-      table.num_activations += lt.num_activations;
-      table.num_paths += lt.num_paths;
-      table.num_loop_truncations += lt.num_loop_truncations;
-      table.strengthened = table.strengthened || lt.strengthened;
-      if (p == 1) table.num_detectable_faults += lt.num_detectable_faults;
-    }
-    compact(merged);  // drop supersets that arrived before their subsets
-    table.cases.assign(merged.begin(), merged.end());
-    std::sort(table.cases.begin(), table.cases.end(),
-              [](const ErroneousCase& a, const ErroneousCase& b) {
-                if (a.length != b.length) return a.length < b.length;
-                return a.diff < b.diff;
-              });
-    if (valves.frozen[t].load(std::memory_order_relaxed)) {
-      table.truncated = true;
-      table.truncation_reason = valves.reasons[t];
-    }
-  }
-  // num_detectable_faults is a per-fault property, identical for every
-  // latency; mirror the p=1 sum into the other tables.
-  for (int p = 2; p <= opts.latency; ++p) {
-    tables[static_cast<std::size_t>(p - 1)].num_detectable_faults =
-        tables[0].num_detectable_faults;
-  }
-  return tables;
-}
-
 DetectabilityTable extract_cases(const fsm::FsmCircuit& circuit,
                                  std::span<const sim::StuckAtFault> faults,
                                  const ExtractOptions& opts) {
-  return std::move(extract_cases_multi(circuit, faults, opts).back());
+  ShardedExtractOptions sharding;
+  sharding.num_shards =
+      resolve_checkpoint_shards(resolve_threads(opts.threads), faults.size());
+  return std::move(extract_cases_sharded(circuit, faults, opts, sharding).back());
 }
 
 // ------------------------------------------------- checkpointed extraction
@@ -650,17 +526,17 @@ bool case_less(const ErroneousCase& a, const ErroneousCase& b) {
   return a.diff < b.diff;
 }
 
-/// Materializes one worker's private sets into the shard's per-latency
-/// tables: compact to the subset-minimal antichain and sort. Within-shard
-/// compaction only removes rows the global merge would remove anyway, so
-/// the final antichain is unchanged.
-ExtractShard shard_from_worker(ShardWorker& worker, const SharedValves& valves,
-                               std::uint32_t index, std::uint32_t num_shards,
+/// A computed shard's checkpoint: the worker's local statistics plus its
+/// private sets, compacted to the subset-minimal antichain and sorted.
+/// Within-shard compaction only removes rows the global merge would remove
+/// anyway, so the final antichain is unchanged.
+ExtractShard shard_from_worker(ShardWorker& worker, std::uint32_t index,
+                               std::uint32_t num_shards,
                                std::size_t shard_faults) {
   ExtractShard sh;
   sh.index = index;
   sh.num_shards = num_shards;
-  sh.tables = worker.tables();  // local statistics
+  sh.tables = worker.tables();
   auto& sets = worker.sets();
   for (std::size_t t = 0; t < sh.tables.size(); ++t) {
     DetectabilityTable& table = sh.tables[t];
@@ -669,10 +545,6 @@ ExtractShard shard_from_worker(ShardWorker& worker, const SharedValves& valves,
     table.cases.assign(sets[t].begin(), sets[t].end());
     sets[t].clear();
     std::sort(table.cases.begin(), table.cases.end(), case_less);
-    if (valves.frozen[t].load(std::memory_order_relaxed)) {
-      table.truncated = true;
-      table.truncation_reason = valves.reasons[t];
-    }
   }
   return sh;
 }
@@ -787,6 +659,11 @@ std::vector<DetectabilityTable> extract_cases_sharded(
         allowed, static_cast<std::size_t>(sharding.max_new_shards));
   }
   const std::size_t skipped = missing.size() - allowed;
+  // A shard that is not saved keeps its worker's raw sets until the merge
+  // below, which compacts and sorts anyway; only a checkpoint is
+  // materialized on its own.
+  std::vector<std::vector<CaseSet>> unsaved(
+      static_cast<std::size_t>(num_shards));
   if (allowed > 0) {
     sim::CircuitSim golden(circuit);
     const std::vector<std::uint64_t> activation_codes =
@@ -796,28 +673,33 @@ std::vector<DetectabilityTable> extract_cases_sharded(
       const std::uint32_t s = missing[i];
       obs::ScopedSpan span(opts.obs, "extract-shard");
       span.attr("shard", static_cast<std::uint64_t>(s));
-      SharedValves valves(num_tables);
-      ShardWorker worker(circuit, opts, golden, activation_codes, valves,
-                         num_shards);
+      ShardWorker worker(circuit, opts, golden, activation_codes, num_shards);
       const std::size_t begin = bounds[s];
       const std::size_t end = bounds[s + 1];
       span.attr("faults", static_cast<std::uint64_t>(end - begin));
       worker.run(faults.subspan(begin, end - begin));
+      const DetectabilityTable& deep = worker.tables().back();
+      span.attr("activations", static_cast<std::uint64_t>(deep.num_activations));
+      span.attr("paths", static_cast<std::uint64_t>(deep.num_paths));
       if (opts.obs.metrics != nullptr) {
         obs::MetricsShard mshard(opts.obs.metrics);
         mshard.add("ced_extract_shards_total");
         mshard.add("ced_extract_shards_computed_total");
         sim::record_counters(mshard, worker.sim_counters());
       }
-      ExtractShard sh =
-          shard_from_worker(worker, valves, s,
-                            static_cast<std::uint32_t>(num_shards),
-                            end - begin);
       // Only complete shards become checkpoints; a valve-tripped shard
       // keeps its partial cases in this run's (truncated) result but is
       // recomputed from scratch on resume.
-      if (!shard_truncated(sh) && hooks.save) hooks.save(sh);
-      shards[s] = std::move(sh);
+      ExtractShard& sh = shards[s];
+      if (hooks.save && !worker.truncated()) {
+        sh = shard_from_worker(worker, s,
+                               static_cast<std::uint32_t>(num_shards),
+                               end - begin);
+        hooks.save(sh);
+      } else {
+        sh.tables = worker.tables();
+        unsaved[s] = std::move(worker.sets());
+      }
       present[s] = 1;
     });
   }
@@ -834,9 +716,13 @@ std::vector<DetectabilityTable> extract_cases_sharded(
     CaseSet merged;
     for (int s = 0; s < num_shards; ++s) {
       if (!present[static_cast<std::size_t>(s)]) continue;
-      const ExtractShard& sh = shards[static_cast<std::size_t>(s)];
-      const DetectabilityTable& lt = sh.tables[t];
+      const DetectabilityTable& lt =
+          shards[static_cast<std::size_t>(s)].tables[t];
       merged.insert(lt.cases.begin(), lt.cases.end());
+      if (auto& sets = unsaved[static_cast<std::size_t>(s)]; !sets.empty()) {
+        merged.insert(sets[t].begin(), sets[t].end());
+        sets[t].clear();
+      }
       table.num_activations += lt.num_activations;
       table.num_paths += lt.num_paths;
       table.num_loop_truncations += lt.num_loop_truncations;

@@ -50,7 +50,9 @@ struct ExtractOptions {
   /// removes detection alternatives, so results stay sound (possibly a few
   /// extra parity trees); the table's `strengthened` flag reports it.
   std::size_t degrade_threshold = 2'000'000;
-  /// Hard valve (after degradation to single-word cases). Reaching it no
+  /// Hard valve (after degradation to single-word cases), per extraction
+  /// shard: each shard counts only its own live cases, so the valve trips
+  /// the same way whether or not the run is checkpointed. Reaching it no
   /// longer throws: the affected table freezes with its cases found so far
   /// and reports `truncated` — a cover of the frozen table is still a valid
   /// (partial-coverage) answer for exactly those cases.
@@ -58,13 +60,13 @@ struct ExtractOptions {
   /// Cooperative wall-clock budget: when it expires mid-DFS, extraction
   /// stops and every table still open is marked truncated.
   Deadline deadline;
-  /// Worker threads for the per-fault enumeration (faults are sharded in
-  /// fixed blocks across workers and the per-worker case sets merged
-  /// deterministically). 1 = serial, 0 = CED_THREADS env or hardware
-  /// concurrency (see common/parallel.hpp). The resulting `cases` vectors
-  /// are identical for every thread count on non-truncated runs; the
+  /// Worker threads for the per-fault enumeration. 1 = serial, 0 =
+  /// CED_THREADS env or hardware concurrency (see common/parallel.hpp).
+  /// extract_cases partitions the faults into one shard per thread (see
+  /// extract_cases_sharded); the resulting `cases` vectors are identical
+  /// for every thread count on non-truncated runs, while the
   /// path-enumeration statistics (num_paths, num_loop_truncations) depend
-  /// on the shard partition because subtree pruning only sees a worker's
+  /// on the shard partition because subtree pruning only sees a shard's
   /// own cases.
   int threads = 0;
   /// Observability sinks: one span per extraction shard (nested under
@@ -76,7 +78,7 @@ struct ExtractOptions {
 
 /// The error detectability table of Fig. 2: the union of all erroneous
 /// cases in canonical form (sorted distinct nonzero step difference-words;
-/// see extract_cases_multi), plus extraction statistics. Rows the cover
+/// see extract_cases_sharded), plus extraction statistics. Rows the cover
 /// problem cannot distinguish are merged.
 struct DetectabilityTable {
   int num_bits = 0;  ///< n = state bits + outputs
@@ -107,36 +109,28 @@ struct DetectabilityTable {
   }
 };
 
-/// Builds the detectability tables for every latency bound 1..opts.latency
-/// in a single fault-simulation + path-enumeration pass (§2, §3.1):
-/// result[p-1] is the table for bound p.
-///
-/// Cases are stored in *canonical form*: the sorted set of distinct nonzero
-/// step difference-words. Coverage of an EC depends only on that set
-/// (a parity tree detects the case iff it has odd overlap with SOME step's
-/// difference), so canonicalization merges rows the cover problem cannot
-/// distinguish — exactness is preserved while path-order blowup collapses.
-std::vector<DetectabilityTable> extract_cases_multi(
-    const fsm::FsmCircuit& circuit,
-    std::span<const sim::StuckAtFault> faults, const ExtractOptions& opts);
-
-/// Single-latency convenience wrapper: the table for bound opts.latency.
-DetectabilityTable extract_cases(const fsm::FsmCircuit& circuit,
-                                 std::span<const sim::StuckAtFault> faults,
-                                 const ExtractOptions& opts = {});
-
 // ---------------------------------------------------------------------------
-// Checkpointed (shard-granular) extraction.
+// Sharded extraction — the one extraction entry point.
 //
-// The fault list is split into a FIXED contiguous-block partition whose
-// shard count is independent of the worker-thread count, and every shard is
-// extracted as a pure function of (circuit, its fault block, options, shard
-// count): each shard runs with private budget valves, so its result never
-// depends on what other shards did or on execution timing. That makes a
-// completed shard a durable unit of work — the storage layer persists each
-// one as it finishes, and a later run can load the completed shards and
-// compute only the remainder, producing tables byte-identical (cases AND
-// statistics) to an uninterrupted run at any thread count.
+// A single fault-simulation + path-enumeration pass (§2, §3.1) builds the
+// detectability tables for every latency bound 1..opts.latency: result[p-1]
+// is the table for bound p. Cases are stored in *canonical form*: the
+// sorted set of distinct nonzero step difference-words. Coverage of an EC
+// depends only on that set (a parity tree detects the case iff it has odd
+// overlap with SOME step's difference), so canonicalization merges rows
+// the cover problem cannot distinguish — exactness is preserved while
+// path-order blowup collapses.
+//
+// The fault list is split into a FIXED contiguous-block partition, and
+// every shard is extracted as a pure function of (circuit, its fault
+// block, options, shard count): each shard runs with private budget
+// valves, so its result never depends on what other shards did or on
+// execution timing. That makes a completed shard a durable unit of work —
+// the storage layer persists each one as it finishes, and a later run can
+// load the completed shards and compute only the remainder, producing
+// tables byte-identical (cases AND statistics) to an uninterrupted run at
+// any thread count. Without a store, the pipeline uses one shard per
+// worker thread.
 // ---------------------------------------------------------------------------
 
 /// One completed shard: the per-latency tables holding the shard's local
@@ -181,8 +175,8 @@ struct ExtractCheckpointHooks {
   std::function<void(const ExtractShard&)> save;
 };
 
-/// Sharded, checkpointable variant of extract_cases_multi. Shards still to
-/// compute run under opts.threads workers; loaded shards cost nothing. A
+/// Sharded, checkpointable extraction. Shards still to compute run under
+/// opts.threads workers; loaded shards cost nothing. A
 /// wall-clock/case-valve trip mid-shard keeps that shard's partial cases in
 /// the returned (truncated) tables but never persists them. When every
 /// shard is available the result is byte-identical to any other complete
@@ -191,6 +185,13 @@ std::vector<DetectabilityTable> extract_cases_sharded(
     const fsm::FsmCircuit& circuit, std::span<const sim::StuckAtFault> faults,
     const ExtractOptions& opts, const ShardedExtractOptions& sharding = {},
     const ExtractCheckpointHooks& hooks = {});
+
+/// The table for bound opts.latency: extract_cases_sharded with one shard
+/// per worker thread (resolve_threads(opts.threads), clamped to the fault
+/// count) and no checkpoint hooks.
+DetectabilityTable extract_cases(const fsm::FsmCircuit& circuit,
+                                 std::span<const sim::StuckAtFault> faults,
+                                 const ExtractOptions& opts = {});
 
 /// Content digest (32 hex chars) of everything a detectability-table bundle
 /// depends on: the synthesized circuit (netlist, encoding, reset code), the

@@ -1,22 +1,21 @@
 #pragma once
 
-// Internal engine behind CoverKernel's SIMD throughput mode: the blocked
-// column-reduction passes, written once as templates over a tiny vector
-// trait `V` (a register of V::kWords 64-bit lanes with load/store, XOR,
-// OR and a lane-summed popcount) and instantiated per backend in
-// kernel_simd.cpp (plain uint64_t always; AVX2 / NEON when the build and
-// the host support them — see common/cpu.hpp).
+// Internal engine behind CoverKernel: the blocked column-reduction
+// passes, written once as templates over a tiny vector trait `V` (a
+// register of V::kWords 64-bit lanes with load/store, XOR, OR and a
+// lane-summed popcount) and instantiated per backend in kernel_simd.cpp
+// (plain uint64_t always; AVX2 / NEON when the build and the host support
+// them — see common/cpu.hpp).
 //
 // Every pass walks the row dimension (words) in vector-register chunks as
 // the OUTER axis and the batch of betas as an inner axis, so each cache
 // line of the (step x bit) column layout is loaded once per pass and
 // reused by every beta that selects that column while it is L1-resident —
 // the cache-blocked "many betas per column load" traversal, as opposed to
-// the per-beta column streaming of the bit-sliced word loop. The math is
-// exact bitwise GF(2) arithmetic in every backend, so results are
-// byte-identical across scalar / bitsliced / simd by construction; only
-// the traversal order of independent OR/XOR reductions differs, and those
-// are associative and commutative.
+// per-beta column streaming. The math is exact bitwise GF(2) arithmetic in
+// every backend, so results are byte-identical across backends by
+// construction; only the traversal order of independent OR/XOR reductions
+// differs, and those are associative and commutative.
 //
 // Not part of the public surface; include core/coverkernel.hpp instead.
 
@@ -52,7 +51,7 @@ struct BetaBits {
 
 /// The per-backend entry points CoverKernel dispatches through. All
 /// functions are exact; `nb` may be 1 (the batch layer is also the
-/// single-beta path in simd mode).
+/// single-beta path).
 struct KernelOps {
   /// acc[w] |= OR over betas of covered(beta), one blocked pass.
   void (*or_covered)(const KernelShape&, const BetaBits*, std::size_t nb,

@@ -55,11 +55,9 @@ std::vector<std::uint32_t> uncovered_among(std::span<const ParityFunc> betas,
 class CoverKernel;
 
 /// Drops parity functions that cover no case not already covered by the
-/// rest (cheap post-pass; keeps earlier functions preferentially). Runs in
-/// one pass over per-tree coverage bitmaps on the bit-sliced kernel
-/// (core/coverkernel.hpp), or as the original O(q^2 * m) re-verification
-/// loop under CED_KERNEL=scalar; both orders of removal — and hence the
-/// results — are identical.
+/// rest (cheap post-pass; keeps earlier functions preferentially, trying
+/// removals from the back). Runs in one pass over per-tree coverage
+/// bitmaps on the bit-sliced kernel (core/coverkernel.hpp).
 std::vector<ParityFunc> prune_redundant(std::span<const ParityFunc> betas,
                                         const DetectabilityTable& table);
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/parallel.hpp"
 #include "core/solver.hpp"
 
 namespace ced::core {
@@ -263,24 +264,14 @@ std::vector<PipelineReport> run_latency_sweep_impl(
 
   // Install the run's execution policy ambiently: every stage below —
   // and, via parallel_for's propagation, every worker thread it spawns —
-  // resolves kernel_mode()/lp_mode()/resolve_threads against it. The
-  // policy never shapes results, only wall-clock.
+  // resolves resolve_threads against it. The policy never shapes
+  // results, only wall-clock.
   const ScopedExecPolicy exec_scope(opts.exec);
 
   try {
     obs::ScopedSpan run_span(opts.obs, "pipeline");
     run_span.attr("latencies", static_cast<std::uint64_t>(latencies.size()));
     const obs::Sinks run_obs = opts.obs.under(run_span.id());
-    if (opts.obs.metrics != nullptr) {
-      // Which kernel backend this run resolves to (0 scalar, 1 bitsliced,
-      // 2 simd) — lets dashboards correlate throughput with the mode.
-      const KernelMode km = kernel_mode();
-      opts.obs.metrics->set_gauge(
-          "ced_kernel_mode",
-          km == KernelMode::kScalar ? 0.0
-                                    : (km == KernelMode::kBitsliced ? 1.0
-                                                                    : 2.0));
-    }
 
     // Every stage boundary below is ONE clock sample shared by the closing
     // and the opening stage (obs::StageClock), so the per-report stage
@@ -363,7 +354,11 @@ std::vector<PipelineReport> run_latency_sweep_impl(
         store_events.push_back(std::move(e));
       }
     } else {
-      tables = extract_cases_multi(circuit, faults, ex);
+      // No store: one shard per worker thread, nothing checkpointed.
+      ShardedExtractOptions sharding;
+      sharding.num_shards = resolve_checkpoint_shards(
+          resolve_threads(ex.threads), faults.size());
+      tables = extract_cases_sharded(circuit, faults, ex, sharding);
     }
     const double t_extract = clock.close(run_obs.tracer, extract_span);
     if (run_obs.metrics != nullptr && !tables.empty()) {

@@ -34,9 +34,9 @@ struct PipelineOptions {
   logic::CellLibrary library = logic::CellLibrary::mcnc();
   sim::FaultListOptions faults;
   ExtractOptions extract;  ///< .latency is overridden by `latency`
-  /// Execution policy for the whole run (common/exec.hpp): cover-kernel
-  /// backend, LP solver, and worker threads for the parallel stages
-  /// (erroneous-case extraction and randomized-rounding trials;
+  /// Execution policy for the whole run (common/exec.hpp): worker threads
+  /// for the parallel stages (erroneous-case extraction and
+  /// randomized-rounding trials;
   /// `exec.threads`: 1 = serial, 0 = CED_THREADS env or hardware
   /// concurrency, otherwise exactly that many — it overrides the
   /// `threads` members of `extract` and `algo`). The policy is installed

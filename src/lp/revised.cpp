@@ -495,7 +495,7 @@ class RevisedSimplex {
         default: v = 0.0; break;
       }
       double x = v + p_.lower()[static_cast<std::size_t>(j)];
-      // Clamp tiny numerical noise back into the box (same as the oracle).
+      // Clamp tiny numerical noise back into the box.
       if (x < p_.lower()[static_cast<std::size_t>(j)]) {
         x = p_.lower()[static_cast<std::size_t>(j)];
       }

@@ -24,10 +24,9 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 /// A linear program over bounded variables:
 ///   optimize  c'x   s.t.  each constraint,  l <= x <= u.
 ///
-/// Built incrementally; solved by `solve`, which dispatches on lp_mode():
-/// a sparse revised simplex with bounded variables, composite phase 1 and
-/// Bland anti-cycling by default, or the dense two-phase tableau oracle
-/// under CED_LP=dense.
+/// Built incrementally; solved by `solve`: a sparse revised simplex with
+/// bounded variables, composite phase 1 and Bland anti-cycling (the dense
+/// tableau reference it is tested against lives in tests/reference/).
 class LpProblem {
  public:
   /// Adds a variable with bounds [lower, upper]; returns its index.
@@ -62,27 +61,6 @@ class LpProblem {
   Objective sense_ = Objective::kMinimize;
 };
 
-/// Which LP solve implementation lp::solve dispatches to.
-///
-/// `kRevised` (the default) is the sparse revised simplex over CSC columns
-/// with a product-form basis inverse (revised.cpp); `kDense` keeps the
-/// original dense-tableau solver as a reference oracle. Both are exact
-/// bounded-variable primal simplexes over the same problem, so they agree
-/// on feasibility and on the optimal objective value; the optimal *vertex*
-/// may differ on degenerate problems (either is a correct optimum).
-/// `CED_LP=dense` switches the process to the oracle, mirroring
-/// `CED_KERNEL=scalar`.
-enum class LpMode {
-  kRevised,
-  kDense,
-};
-
-/// Resolved solve mode: the ambient ExecPolicy's lp field if pinned
-/// (ScopedExecPolicy / RunConfig::Builder::exec / a ced_serve request),
-/// else the CED_LP environment variable ("dense" | "revised", read
-/// once), else revised.
-LpMode lp_mode();
-
 /// A basis of the revised solver, expressed in the problem's own indexing
 /// so callers can carry it across *related* problems (core/ilp.cpp maps it
 /// between formulations by variable/constraint identity). Logical columns
@@ -103,12 +81,12 @@ struct SolverOptions {
   /// THIS problem's variable/constraint indexing (see core/ilp.cpp for the
   /// key-based cross-problem mapping). Rows whose remembered basic
   /// variable no longer exists fall back to their logical; the composite
-  /// phase 1 repairs whatever infeasibility remains. The dense oracle
-  /// ignores it — a warm start changes the pivot path, never the optimum.
+  /// phase 1 repairs whatever infeasibility remains. A warm start changes
+  /// the pivot path, never the optimum.
   const BasisSnapshot* warm = nullptr;
-  /// Fill LpResult::basis with the optimal basis (revised mode only).
+  /// Fill LpResult::basis with the optimal basis.
   bool want_basis = false;
-  /// Pivots between basis refactorizations (revised mode): the eta file is
+  /// Pivots between basis refactorizations: the eta file is
   /// rebuilt from the current basis every this-many pivots to keep rounding
   /// error from accumulating through the product-form updates.
   int refactor_interval = 64;
@@ -132,17 +110,17 @@ struct LpResult {
   /// Simplex pivots consumed (both phases), whatever the outcome — the
   /// budget accounting callers report in resilience diagnostics.
   int iterations = 0;
-  /// Pivots spent inside the composite phase 1 (subset of `iterations`;
-  /// revised mode only). A successful warm start shows up as this dropping
-  /// to the handful of rows the previous basis did not already satisfy.
+  /// Pivots spent inside the composite phase 1 (subset of `iterations`).
+  /// A successful warm start shows up as this dropping to the handful of
+  /// rows the previous basis did not already satisfy.
   int phase1_iterations = 0;
-  /// Basis refactorizations performed (revised mode only).
+  /// Basis refactorizations performed.
   int refactorizations = 0;
   /// True when a caller-provided warm basis was structurally applied (its
   /// dimensions matched and the mapped basis survived factorization).
   bool warm_applied = false;
   /// The optimal basis when SolverOptions::want_basis was set and the
-  /// revised solve reached optimality; nullopt otherwise.
+  /// solve reached optimality; nullopt otherwise.
   std::optional<BasisSnapshot> basis;
 };
 

@@ -566,18 +566,13 @@ Code code_for(const core::ResilienceReport& res) {
   return res.degraded() ? Code::kDegraded : Code::kOk;
 }
 
-/// Execution policy for one request: the request's kernel/lp selections
-/// (already validated by parse_request) with threads clamped to the
-/// server's per-request cap. Pinned ambiently by the pipeline for the
-/// duration of this run only, so concurrent requests with different
-/// policies never observe each other.
+/// Execution policy for one request: its threads clamped to the server's
+/// per-request cap. Pinned ambiently by the pipeline for the duration of
+/// this run only, so concurrent requests with different policies never
+/// observe each other.
 ExecPolicy request_policy(const Request& req, int threads_cap) {
-  ExecPolicy p;
-  if (const auto k = parse_kernel_sel(req.kernel)) p.kernel = *k;
-  if (const auto l = parse_lp_sel(req.lp)) p.lp = *l;
-  p.threads =
-      req.threads > 0 ? std::min(req.threads, threads_cap) : threads_cap;
-  return p;
+  return {.threads = req.threads > 0 ? std::min(req.threads, threads_cap)
+                                     : threads_cap};
 }
 
 }  // namespace

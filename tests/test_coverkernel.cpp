@@ -1,7 +1,9 @@
 // Bit-sliced cover kernel (core/coverkernel.hpp): randomized equivalence
-// against the scalar popcount oracle, condensation soundness, and
-// scalar-vs-kernel / thread-count result identity for every solver that
-// routes through the kernel.
+// against the test-side scalar Statement-4 reference
+// (tests/reference/scalar_cover.hpp) under the detected vector engine and
+// the forced scalar word loop, condensation soundness, and SIMD-level /
+// thread-count result identity for every solver that routes through the
+// kernel.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "benchdata/suite.hpp"
+#include "common/cpu.hpp"
 #include "core/algorithm1.hpp"
 #include "core/coverkernel.hpp"
 #include "core/exact.hpp"
@@ -20,50 +23,20 @@
 #include "core/parity.hpp"
 #include "core/pipeline.hpp"
 #include "fsm/synthesize.hpp"
+#include "reference/scalar_cover.hpp"
 #include "sim/faults.hpp"
 
 namespace ced::core {
 namespace {
 
-/// Random table in canonical form: each case is a sorted set of 1..max_len
-/// distinct nonzero difference words over n bits.
-DetectabilityTable random_table(std::mt19937_64& rng, int n, std::size_t m,
-                                int max_len) {
-  DetectabilityTable t;
-  t.num_bits = n;
-  t.latency = max_len;
-  const std::uint64_t mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  std::uniform_int_distribution<int> len_dist(1, max_len);
-  while (t.cases.size() < m) {
-    std::set<std::uint64_t> words;
-    const int len = len_dist(rng);
-    for (int k = 0; k < len; ++k) {
-      const std::uint64_t w = rng() & mask;
-      if (w != 0) words.insert(w);
-    }
-    if (words.empty()) continue;
-    ErroneousCase ec;
-    ec.length = static_cast<std::uint8_t>(words.size());
-    std::size_t k = 0;
-    for (const std::uint64_t w : words) ec.diff[k++] = w;
-    t.cases.push_back(ec);
-  }
-  return t;
-}
+using reference::random_beta;
+using reference::random_table;
+using reference::ref_count;
+using reference::ref_uncovered;
 
-ParityFunc random_beta(std::mt19937_64& rng, int n) {
-  const std::uint64_t mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  const std::uint64_t beta = rng() & mask;
-  return beta != 0 ? beta : 1;
-}
-
-std::size_t scalar_count(ParityFunc beta, const DetectabilityTable& t) {
-  std::size_t c = 0;
-  for (const ErroneousCase& ec : t.cases) c += covers(beta, ec) ? 1 : 0;
-  return c;
-}
+/// The dispatch levels every kernel result must be identical under: the
+/// host's vector engine and the universal scalar word loop.
+const SimdLevel kLevels[] = {detected_simd_level(), SimdLevel::kNone};
 
 DetectabilityTable suite_table(const std::string& name, int p) {
   const fsm::Fsm f = benchdata::suite_fsm(name);
@@ -89,77 +62,86 @@ const Shape kShapes[] = {
 };
 
 TEST(CoverKernel, MatchesScalarOnRandomTables) {
-  std::mt19937_64 rng(1);
-  for (const Shape& s : kShapes) {
-    const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
-    const CoverKernel kernel(t);
-    ASSERT_EQ(kernel.num_rows(), t.cases.size());
-    ASSERT_EQ(kernel.num_bits(), s.n);
+  for (const SimdLevel level : kLevels) {
+    const ScopedSimdLevel cap(level);
+    std::mt19937_64 rng(1);
+    for (const Shape& s : kShapes) {
+      const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
+      const auto rows = reference::all_rows(t);
+      const CoverKernel kernel(t);
+      ASSERT_EQ(kernel.num_rows(), t.cases.size());
+      ASSERT_EQ(kernel.num_bits(), s.n);
 
-    std::vector<ParityFunc> set;
-    for (int i = 0; i < 16; ++i) {
-      const ParityFunc beta = random_beta(rng, s.n);
-      set.push_back(beta);
-      EXPECT_EQ(kernel.coverage_count(beta), scalar_count(beta, t))
-          << "n=" << s.n << " m=" << s.m << " beta=" << beta;
-      std::vector<std::uint64_t> bitmap(kernel.num_words());
-      kernel.covered_bitmap(beta, bitmap.data());
-      for (std::size_t r = 0; r < t.cases.size(); ++r) {
-        EXPECT_EQ((bitmap[r >> 6] >> (r & 63)) & 1,
-                  covers(beta, t.cases[r]) ? 1u : 0u);
+      std::vector<ParityFunc> set;
+      for (int i = 0; i < 16; ++i) {
+        const ParityFunc beta = random_beta(rng, s.n);
+        set.push_back(beta);
+        EXPECT_EQ(kernel.coverage_count(beta), ref_count(beta, t, rows))
+            << to_string(level) << " n=" << s.n << " m=" << s.m
+            << " beta=" << beta;
+        std::vector<std::uint64_t> bitmap(kernel.num_words());
+        kernel.covered_bitmap(beta, bitmap.data());
+        EXPECT_EQ(bitmap, reference::ref_cover_bitmap(beta, t, rows))
+            << to_string(level) << " n=" << s.n << " beta=" << beta;
       }
-      // Padding bits beyond num_rows stay zero.
-      if (t.cases.size() % 64 != 0) {
-        EXPECT_EQ(bitmap.back() >> (t.cases.size() % 64), 0u);
-      }
+      // Set queries: the kernel and the production one-shot helpers
+      // against the reference.
+      const auto want = ref_uncovered(set, t);
+      EXPECT_EQ(kernel.uncovered(set), want) << to_string(level);
+      EXPECT_EQ(uncovered_cases(set, t), want) << to_string(level);
+      EXPECT_EQ(kernel.uncovered_count(set), want.size()) << to_string(level);
+      EXPECT_EQ(kernel.covers_all(set), want.empty()) << to_string(level);
+      EXPECT_EQ(covers_all(set, t), want.empty()) << to_string(level);
     }
-    // Set queries against the scalar module-level implementations.
-    ScopedExecPolicy scalar({.kernel = KernelSel::kScalar});
-    EXPECT_EQ(kernel.covers_all(set), covers_all(set, t));
-    const auto unc = kernel.uncovered(set);
-    EXPECT_EQ(unc, uncovered_cases(set, t));
-    EXPECT_EQ(kernel.uncovered_count(set), unc.size());
   }
 }
 
 TEST(CoverKernel, SubsetKernelMatchesScalarAmong) {
-  std::mt19937_64 rng(2);
-  const DetectabilityTable t = random_table(rng, 20, 300, 3);
-  // Random subset with duplicates, in random order.
-  std::vector<std::uint32_t> rows;
-  for (int i = 0; i < 90; ++i) {
-    rows.push_back(static_cast<std::uint32_t>(rng() % t.cases.size()));
-  }
-  const CoverKernel kernel(t, rows);
-  ASSERT_EQ(kernel.num_rows(), rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    EXPECT_EQ(kernel.global_row(static_cast<std::uint32_t>(r)), rows[r]);
-  }
-  for (int i = 0; i < 8; ++i) {
-    std::vector<ParityFunc> set = {random_beta(rng, 20), random_beta(rng, 20)};
-    std::vector<std::uint32_t> got;
-    for (const std::uint32_t local : kernel.uncovered(set)) {
-      got.push_back(rows[local]);
+  for (const SimdLevel level : kLevels) {
+    const ScopedSimdLevel cap(level);
+    std::mt19937_64 rng(2);
+    const DetectabilityTable t = random_table(rng, 20, 300, 3);
+    // Random subset with duplicates, in random order.
+    std::vector<std::uint32_t> rows;
+    for (int i = 0; i < 90; ++i) {
+      rows.push_back(static_cast<std::uint32_t>(rng() % t.cases.size()));
     }
-    ScopedExecPolicy scalar({.kernel = KernelSel::kScalar});
-    EXPECT_EQ(got, uncovered_among(set, t, rows));
+    const CoverKernel kernel(t, rows);
+    ASSERT_EQ(kernel.num_rows(), rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(kernel.global_row(static_cast<std::uint32_t>(r)), rows[r]);
+    }
+    for (int i = 0; i < 8; ++i) {
+      std::vector<ParityFunc> set = {random_beta(rng, 20),
+                                     random_beta(rng, 20)};
+      const auto want = ref_uncovered(set, t, rows);
+      EXPECT_EQ(kernel.uncovered(set), want) << to_string(level);
+      std::vector<std::uint32_t> want_global;
+      for (const std::uint32_t local : want) want_global.push_back(rows[local]);
+      EXPECT_EQ(uncovered_among(set, t, rows), want_global)
+          << to_string(level);
+    }
   }
 }
 
 TEST(BetaCursor, FlipMatchesFreshEvaluation) {
-  std::mt19937_64 rng(3);
-  for (const Shape& s : kShapes) {
-    const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
-    const CoverKernel kernel(t);
-    BetaCursor cur(kernel, 0);
-    ParityFunc beta = 0;
-    for (int step = 0; step < 200; ++step) {
-      const int j = static_cast<int>(rng() % static_cast<unsigned>(s.n));
-      cur.flip(j);
-      beta ^= std::uint64_t{1} << j;
-      ASSERT_EQ(cur.beta(), beta);
-      ASSERT_EQ(cur.covered_count(), scalar_count(beta, t))
-          << "n=" << s.n << " after flip " << step;
+  for (const SimdLevel level : kLevels) {
+    const ScopedSimdLevel cap(level);
+    std::mt19937_64 rng(3);
+    for (const Shape& s : kShapes) {
+      const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
+      const auto rows = reference::all_rows(t);
+      const CoverKernel kernel(t);
+      BetaCursor cur(kernel, 0);
+      ParityFunc beta = 0;
+      for (int step = 0; step < 200; ++step) {
+        const int j = static_cast<int>(rng() % static_cast<unsigned>(s.n));
+        cur.flip(j);
+        beta ^= std::uint64_t{1} << j;
+        ASSERT_EQ(cur.beta(), beta);
+        ASSERT_EQ(cur.covered_count(), ref_count(beta, t, rows))
+            << to_string(level) << " n=" << s.n << " after flip " << step;
+      }
     }
   }
 }
@@ -204,8 +186,8 @@ TEST(Condense, CondensedCoverCoversFullTable) {
     const DetectabilityTable t = random_table(rng, n, 500, kMaxLatency);
     const CondensedTable cond = condense_table(t);
     const auto sol = greedy_cover(cond.table);
-    EXPECT_TRUE(covers_all(sol, cond.table));
-    EXPECT_TRUE(covers_all(sol, t))
+    EXPECT_TRUE(ref_uncovered(sol, cond.table).empty());
+    EXPECT_TRUE(ref_uncovered(sol, t).empty())
         << "n=" << n << ": condensed cover missed a full-table row";
   }
 }
@@ -238,19 +220,14 @@ TEST(KernelScalar, PruneRedundantIdentical) {
     betas.push_back(betas.front());
     for (int i = 0; i < 4; ++i) betas.push_back(random_beta(rng, 14));
     std::shuffle(betas.begin(), betas.end(), rng);
-    if (!covers_all(betas, t)) continue;
+    if (!ref_uncovered(betas, t).empty()) continue;
 
-    std::vector<ParityFunc> pruned_bits, pruned_scalar;
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kBitsliced});
-      pruned_bits = prune_redundant(betas, t);
+    const auto want = reference::ref_prune(betas, t);
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
+      EXPECT_EQ(prune_redundant(betas, t), want) << to_string(level);
     }
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
-      pruned_scalar = prune_redundant(betas, t);
-    }
-    EXPECT_EQ(pruned_bits, pruned_scalar);
-    EXPECT_TRUE(covers_all(pruned_bits, t));
+    EXPECT_TRUE(ref_uncovered(want, t).empty());
   }
 }
 
@@ -258,37 +235,43 @@ TEST(KernelScalar, GreedyIdentical) {
   std::mt19937_64 rng(7);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
-    std::vector<ParityFunc> bits, scalar;
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kBitsliced});
-      bits = greedy_cover(t);
+    std::vector<ParityFunc> ref;
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
+      const auto sol = greedy_cover(t);
+      EXPECT_TRUE(ref_uncovered(sol, t).empty())
+          << to_string(level) << " n=" << s.n << " m=" << s.m;
+      if (ref.empty()) {
+        ref = sol;
+      } else {
+        EXPECT_EQ(sol, ref) << to_string(level) << " n=" << s.n;
+      }
     }
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
-      scalar = greedy_cover(t);
-    }
-    EXPECT_EQ(bits, scalar) << "n=" << s.n << " m=" << s.m;
-    EXPECT_TRUE(covers_all(bits, t));
   }
 }
 
 TEST(KernelScalar, ExactIdentical) {
+  // exact_min_cover's q must equal a brute-force minimum over all sets of
+  // candidate parity functions, and its selection must not depend on the
+  // dispatch level.
   std::mt19937_64 rng(8);
   for (int trial = 0; trial < 4; ++trial) {
-    const DetectabilityTable t = random_table(rng, 6, 40, 2);
-    std::optional<std::vector<ParityFunc>> bits, scalar;
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kBitsliced});
-      bits = exact_min_cover(t);
+    const DetectabilityTable t = random_table(rng, 5, 24, 2);
+    std::optional<std::vector<ParityFunc>> ref;
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
+      const auto sol = exact_min_cover(t);
+      ASSERT_TRUE(sol.has_value()) << to_string(level);
+      EXPECT_TRUE(ref_uncovered(*sol, t).empty()) << to_string(level);
+      if (!ref) {
+        ref = sol;
+      } else {
+        EXPECT_EQ(*sol, *ref) << to_string(level);
+      }
     }
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
-      scalar = exact_min_cover(t);
-    }
-    ASSERT_EQ(bits.has_value(), scalar.has_value());
-    if (bits) {
-      EXPECT_EQ(*bits, *scalar);
-    }
+    EXPECT_EQ(static_cast<int>(ref->size()),
+              reference::ref_min_cover_size(t, static_cast<int>(ref->size())))
+        << "trial " << trial;
   }
 }
 
@@ -297,17 +280,17 @@ TEST(KernelScalar, Algorithm1Identical) {
   const DetectabilityTable t = random_table(rng, 18, 2000, 3);
   Algorithm1Options opts;
   opts.threads = 1;
-  std::vector<ParityFunc> bits, scalar;
-  {
-    ScopedExecPolicy mode({.kernel = KernelSel::kBitsliced});
-    bits = minimize_parity_functions(t, opts);
+  std::vector<ParityFunc> ref;
+  for (const SimdLevel level : kLevels) {
+    const ScopedSimdLevel cap(level);
+    const auto sol = minimize_parity_functions(t, opts);
+    EXPECT_TRUE(ref_uncovered(sol, t).empty()) << to_string(level);
+    if (ref.empty()) {
+      ref = sol;
+    } else {
+      EXPECT_EQ(sol, ref) << to_string(level);
+    }
   }
-  {
-    ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
-    scalar = minimize_parity_functions(t, opts);
-  }
-  EXPECT_EQ(bits, scalar);
-  EXPECT_TRUE(covers_all(bits, t));
 }
 
 TEST(Determinism, IdenticalAcrossThreadCounts) {

@@ -66,12 +66,13 @@ TEST(Extract, CasesAreDeduplicated) {
 
 TEST(Extract, MultiPassMatchesDirectExtraction) {
   // The single-pass multi-latency extraction must equal extracting each
-  // bound independently.
+  // bound independently (and a one-shard partition must equal the default
+  // sixteen-shard one).
   const fsm::FsmCircuit c = circuit_for("arbiter");
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   ExtractOptions o3;
   o3.latency = 3;
-  const auto multi = extract_cases_multi(c, faults, o3);
+  const auto multi = extract_cases_sharded(c, faults, o3, {.num_shards = 1});
   ASSERT_EQ(multi.size(), 3u);
   for (int p = 1; p <= 3; ++p) {
     ExtractOptions op;
@@ -110,7 +111,7 @@ TEST(Extract, LowerLatencyCoverStaysValidAtHigherLatency) {
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   ExtractOptions o3;
   o3.latency = 3;
-  const auto multi = extract_cases_multi(c, faults, o3);
+  const auto multi = extract_cases_sharded(c, faults, o3);
   const auto cover1 = greedy_cover(multi[0]);
   EXPECT_TRUE(covers_all(cover1, multi[1]));
   EXPECT_TRUE(covers_all(cover1, multi[2]));
@@ -217,8 +218,8 @@ TEST(Extract, MachineLevelStepOneTableMatchesImplementable) {
   impl.latency = 3;
   ExtractOptions ml = impl;
   ml.semantics = DiffSemantics::kMachineLevel;
-  const auto ti = extract_cases_multi(c, faults, impl);
-  const auto tm = extract_cases_multi(c, faults, ml);
+  const auto ti = extract_cases_sharded(c, faults, impl);
+  const auto tm = extract_cases_sharded(c, faults, ml);
   ASSERT_EQ(ti[0].cases.size(), tm[0].cases.size());
   for (std::size_t i = 0; i < ti[0].cases.size(); ++i) {
     EXPECT_TRUE(ti[0].cases[i] == tm[0].cases[i]);

@@ -1,62 +1,36 @@
 // SIMD cover-kernel backend (core/kernel_engine.hpp, common/cpu.hpp):
-// byte-identity of the three-kernel oracle chain. Every query — counts,
-// bitmaps, cursor flips, batched neighborhood probes, whole-set batch
-// passes — must return the exact same bits under scalar, bitsliced, and
-// simd modes, on tail-word shapes (rows % 64 != 0) and the n = 64
-// full-mask edge, and with the vector unit forcibly disabled
+// every query — counts, bitmaps, cursor flips, batched neighborhood
+// probes, whole-set batch passes — must return the exact bits of the
+// test-side scalar reference (tests/reference/scalar_cover.hpp), on
+// tail-word shapes (rows % 64 != 0) and the n = 64 full-mask edge, both on
+// the host's vector engine and with the vector unit forcibly disabled
 // (ScopedSimdLevel) so the dispatch fallback is proven on every host.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <bit>
 #include <random>
-#include <set>
 #include <vector>
 
 #include "common/cpu.hpp"
-#include "common/exec.hpp"
 #include "core/algorithm1.hpp"
 #include "core/coverkernel.hpp"
 #include "core/greedy.hpp"
+#include "core/kernel_engine.hpp"
 #include "core/parity.hpp"
+#include "reference/scalar_cover.hpp"
 
 namespace ced::core {
 namespace {
 
-DetectabilityTable random_table(std::mt19937_64& rng, int n, std::size_t m,
-                                int max_len) {
-  DetectabilityTable t;
-  t.num_bits = n;
-  t.latency = max_len;
-  const std::uint64_t mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  std::uniform_int_distribution<int> len_dist(1, max_len);
-  while (t.cases.size() < m) {
-    std::set<std::uint64_t> words;
-    const int len = len_dist(rng);
-    for (int k = 0; k < len; ++k) {
-      const std::uint64_t w = rng() & mask;
-      if (w != 0) words.insert(w);
-    }
-    if (words.empty()) continue;
-    ErroneousCase ec;
-    ec.length = static_cast<std::uint8_t>(words.size());
-    std::size_t k = 0;
-    for (const std::uint64_t w : words) ec.diff[k++] = w;
-    t.cases.push_back(ec);
-  }
-  return t;
-}
+using reference::random_beta;
+using reference::random_table;
+using reference::ref_count;
+using reference::ref_cover_bitmap;
+using reference::ref_uncovered;
 
-ParityFunc random_beta(std::mt19937_64& rng, int n) {
-  const std::uint64_t mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  const std::uint64_t beta = rng() & mask;
-  return beta != 0 ? beta : 1;
-}
-
-const KernelSel kModes[] = {KernelSel::kScalar, KernelSel::kBitsliced,
-                            KernelSel::kSimd};
+/// The host's vector engine and the universal scalar word loop.
+const SimdLevel kLevels[] = {detected_simd_level(), SimdLevel::kNone};
 
 // Tail words (rows % 64 != 0), a single-row table, and the n = 64
 // full-mask edge; lengths span 1..kMaxLatency.
@@ -74,44 +48,22 @@ TEST(KernelSimd, CountsAndBitmapsIdenticalAcrossModes) {
   std::mt19937_64 rng(41);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
+    const auto rows = reference::all_rows(t);
     std::vector<ParityFunc> betas;
     for (int i = 0; i < 24; ++i) betas.push_back(random_beta(rng, s.n));
 
-    // Reference: scalar mode (the PR-1 per-case popcount oracle).
-    std::vector<std::size_t> ref_counts;
-    std::vector<std::uint64_t> ref_bits;
-    {
-      const ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
       const CoverKernel k(t);
-      EXPECT_EQ(k.engine(), nullptr);
-      ref_bits.resize(betas.size() * k.num_words());
-      for (std::size_t i = 0; i < betas.size(); ++i) {
-        ref_counts.push_back(k.coverage_count(betas[i]));
-        k.covered_bitmap(betas[i], ref_bits.data() + i * k.num_words());
-      }
-    }
-    for (const KernelSel sel : kModes) {
-      const ScopedExecPolicy mode({.kernel = sel});
-      const CoverKernel k(t);
-      if (sel == KernelSel::kSimd) {
-        EXPECT_NE(k.engine(), nullptr);
-      }
       std::vector<std::uint64_t> bits(k.num_words());
-      for (std::size_t i = 0; i < betas.size(); ++i) {
-        EXPECT_EQ(k.coverage_count(betas[i]), ref_counts[i])
-            << to_string(sel) << " n=" << s.n << " m=" << s.m;
-        k.covered_bitmap(betas[i], bits.data());
-        EXPECT_EQ(0, std::memcmp(bits.data(),
-                                 ref_bits.data() + i * k.num_words(),
-                                 k.num_words() * sizeof(std::uint64_t)))
-            << to_string(sel) << " n=" << s.n << " beta=" << betas[i];
-        // Padding bits beyond num_rows stay zero in every backend.
-        if (k.num_rows() % 64 != 0) {
-          EXPECT_EQ(bits.back() >> (k.num_rows() % 64), 0u);
-        }
+      for (const ParityFunc beta : betas) {
+        EXPECT_EQ(k.coverage_count(beta), ref_count(beta, t, rows))
+            << to_string(level) << " n=" << s.n << " m=" << s.m;
+        k.covered_bitmap(beta, bits.data());
+        EXPECT_EQ(bits, ref_cover_bitmap(beta, t, rows))
+            << to_string(level) << " n=" << s.n << " beta=" << beta;
       }
-      EXPECT_EQ(k.covers_all(betas),
-                k.uncovered_count(betas) == 0);
+      EXPECT_EQ(k.covers_all(betas), ref_uncovered(betas, t).empty());
     }
   }
 }
@@ -120,39 +72,47 @@ TEST(KernelSimd, BatchMatchesPerBetaLoopInEveryMode) {
   std::mt19937_64 rng(43);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
+    const auto rows = reference::all_rows(t);
     std::vector<ParityFunc> betas;
     for (int i = 0; i < 17; ++i) betas.push_back(random_beta(rng, s.n));
+    // Reference: per-beta bitmaps, counts and their union.
+    const auto ref_bits = reference::ref_cover_bitmaps(betas, t);
+    const std::size_t W = (t.cases.size() + 63) / 64;
+    std::vector<std::uint64_t> want_flat, want_acc(W, 0);
+    std::vector<std::size_t> want_counts;
+    for (const auto& b : ref_bits) {
+      want_flat.insert(want_flat.end(), b.begin(), b.end());
+      for (std::size_t w = 0; w < W; ++w) want_acc[w] |= b[w];
+    }
+    for (const ParityFunc beta : betas) {
+      want_counts.push_back(ref_count(beta, t, rows));
+    }
 
-    for (const KernelSel sel : kModes) {
-      const ScopedExecPolicy mode({.kernel = sel});
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
       const CoverKernel k(t);
-      const std::size_t W = k.num_words();
+      ASSERT_EQ(k.num_words(), W);
       CoverBatch batch(k);
 
       std::vector<std::size_t> got_counts(betas.size());
       batch.counts(betas, got_counts);
+      EXPECT_EQ(got_counts, want_counts) << to_string(level) << " n=" << s.n;
       std::vector<std::uint64_t> got_bits(betas.size() * W);
       batch.bitmaps(betas, got_bits.data());
-      std::vector<std::uint64_t> got_acc(W, 0), want_acc(W, 0);
+      EXPECT_EQ(got_bits, want_flat) << to_string(level) << " n=" << s.n;
+      std::vector<std::uint64_t> got_acc(W, 0), loop_acc(W, 0);
       batch.or_covered(betas, got_acc.data());
-
-      std::vector<std::uint64_t> want(W);
-      for (std::size_t i = 0; i < betas.size(); ++i) {
-        EXPECT_EQ(got_counts[i], k.coverage_count(betas[i]))
-            << to_string(sel) << " n=" << s.n;
-        k.covered_bitmap(betas[i], want.data());
-        EXPECT_EQ(0, std::memcmp(got_bits.data() + i * W, want.data(),
-                                 W * sizeof(std::uint64_t)))
-            << to_string(sel) << " n=" << s.n << " i=" << i;
-        k.accumulate_covered(betas[i], want_acc.data());
+      EXPECT_EQ(got_acc, want_acc) << to_string(level);
+      for (const ParityFunc beta : betas) {
+        k.accumulate_covered(beta, loop_acc.data());
       }
-      EXPECT_EQ(got_acc, want_acc) << to_string(sel);
-      EXPECT_EQ(batch.uncovered_count(betas), k.uncovered_count(betas))
-          << to_string(sel);
+      EXPECT_EQ(loop_acc, want_acc) << to_string(level);
+      EXPECT_EQ(batch.uncovered_count(betas), ref_uncovered(betas, t).size())
+          << to_string(level);
 
       const CoverBatch::Evaluation ev = batch.evaluate_many(betas);
-      EXPECT_EQ(ev.counts, got_counts) << to_string(sel);
-      EXPECT_EQ(ev.bitmaps, got_bits) << to_string(sel);
+      EXPECT_EQ(ev.counts, want_counts) << to_string(level);
+      EXPECT_EQ(ev.bitmaps, want_flat) << to_string(level);
     }
   }
 }
@@ -161,50 +121,51 @@ TEST(KernelSimd, CursorFlipsAndNeighborCountsIdenticalAcrossModes) {
   std::mt19937_64 rng(47);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
-    // The same flip schedule replayed under every mode.
+    const auto rows = reference::all_rows(t);
+    // The same flip schedule replayed under every level.
     std::vector<int> flips;
     for (int i = 0; i < 60; ++i) {
       flips.push_back(static_cast<int>(rng() % static_cast<unsigned>(s.n)));
     }
-    std::vector<std::uint64_t> base(
-        (t.cases.size() + 63) / 64);
+    std::vector<std::uint64_t> base((t.cases.size() + 63) / 64);
     for (auto& w : base) w = rng();
+    // Padding bits beyond the real rows must not count.
+    if (t.cases.size() % 64 != 0) {
+      base.back() &= (std::uint64_t{1} << (t.cases.size() % 64)) - 1;
+    }
 
-    std::vector<std::size_t> ref_trace;      // covered_count after each flip
-    std::vector<std::size_t> ref_neigh;      // final neighborhood, no base
-    std::vector<std::size_t> ref_neigh_base; // final neighborhood, with base
-    for (const KernelSel sel : kModes) {
-      const ScopedExecPolicy mode({.kernel = sel});
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
       const CoverKernel k(t);
       BetaCursor cur(k, 1);
-      std::vector<std::size_t> trace;
+      ParityFunc beta = 1;
       for (const int j : flips) {
         if (cur.beta() == (std::uint64_t{1} << j)) continue;  // keep beta != 0
         cur.flip(j);
-        trace.push_back(cur.covered_count());
+        beta ^= std::uint64_t{1} << j;
+        ASSERT_EQ(cur.beta(), beta);
+        EXPECT_EQ(cur.covered_count(), ref_count(beta, t, rows))
+            << to_string(level) << " n=" << s.n;
       }
+      std::vector<std::uint64_t> acc(k.num_words(), 0);
+      cur.or_covered_into(acc.data());
+      EXPECT_EQ(acc, ref_cover_bitmap(beta, t, rows)) << to_string(level);
+
       std::vector<std::size_t> neigh(static_cast<std::size_t>(s.n));
       cur.neighbor_counts(neigh);
-      // Exactness against brute force: flip, count, flip back.
-      BetaCursor probe(k, cur.beta());
-      for (int j = 0; j < s.n; ++j) {
-        probe.flip(j);
-        EXPECT_EQ(neigh[static_cast<std::size_t>(j)], probe.covered_count())
-            << to_string(sel) << " j=" << j;
-        probe.flip(j);
-      }
       std::vector<std::size_t> neigh_base(static_cast<std::size_t>(s.n));
       cur.neighbor_counts(neigh_base, base.data());
-
-      if (sel == KernelSel::kScalar) {
-        ref_trace = trace;
-        ref_neigh = neigh;
-        ref_neigh_base = neigh_base;
-      } else {
-        EXPECT_EQ(trace, ref_trace) << to_string(sel) << " n=" << s.n;
-        EXPECT_EQ(neigh, ref_neigh) << to_string(sel) << " n=" << s.n;
-        EXPECT_EQ(neigh_base, ref_neigh_base)
-            << to_string(sel) << " n=" << s.n;
+      for (int j = 0; j < s.n; ++j) {
+        const ParityFunc nb = beta ^ (std::uint64_t{1} << j);
+        EXPECT_EQ(neigh[static_cast<std::size_t>(j)], ref_count(nb, t, rows))
+            << to_string(level) << " j=" << j;
+        auto bits = ref_cover_bitmap(nb, t, rows);
+        std::size_t with_base = 0;
+        for (std::size_t w = 0; w < bits.size(); ++w) {
+          with_base += static_cast<std::size_t>(std::popcount(bits[w] | base[w]));
+        }
+        EXPECT_EQ(neigh_base[static_cast<std::size_t>(j)], with_base)
+            << to_string(level) << " j=" << j;
       }
     }
   }
@@ -216,24 +177,23 @@ TEST(KernelSimd, ForcedFallbackMatchesVectorBackend) {
   std::vector<ParityFunc> betas;
   for (int i = 0; i < 12; ++i) betas.push_back(random_beta(rng, 22));
 
-  const ScopedExecPolicy mode({.kernel = KernelSel::kSimd});
   std::vector<std::size_t> native_counts(betas.size());
   std::vector<std::uint64_t> native_bits;
   {
     const CoverKernel k(t);
-    ASSERT_NE(k.engine(), nullptr);
+    EXPECT_EQ(&k.engine(), &detail::kernel_ops(detected_simd_level()));
     CoverBatch batch(k);
     batch.counts(betas, native_counts);
     native_bits.resize(betas.size() * k.num_words());
     batch.bitmaps(betas, native_bits.data());
   }
   {
-    // Cap the dispatch at kNone: still simd mode (an engine is captured),
-    // but it must be the universal scalar word engine.
+    // Cap the dispatch at kNone: the kernel must capture the universal
+    // scalar word engine.
     const ScopedSimdLevel cap(SimdLevel::kNone);
     ASSERT_EQ(simd_level(), SimdLevel::kNone);
     const CoverKernel k(t);
-    ASSERT_NE(k.engine(), nullptr);
+    EXPECT_EQ(&k.engine(), &detail::kernel_ops(SimdLevel::kNone));
     CoverBatch batch(k);
     std::vector<std::size_t> counts(betas.size());
     batch.counts(betas, counts);
@@ -256,18 +216,13 @@ TEST(KernelSimd, SubsetKernelIdenticalAcrossModes) {
   std::vector<ParityFunc> betas = {random_beta(rng, 18),
                                    random_beta(rng, 18),
                                    random_beta(rng, 18)};
-  std::vector<std::uint32_t> ref;
-  for (const KernelSel sel : kModes) {
-    const ScopedExecPolicy mode({.kernel = sel});
+  const auto want = ref_uncovered(betas, t, rows);
+  for (const SimdLevel level : kLevels) {
+    const ScopedSimdLevel cap(level);
     const CoverKernel k(t, rows);
-    const auto unc = k.uncovered(betas);
-    if (sel == KernelSel::kScalar) {
-      ref = unc;
-    } else {
-      EXPECT_EQ(unc, ref) << to_string(sel);
-    }
+    EXPECT_EQ(k.uncovered(betas), want) << to_string(level);
     CoverBatch batch(k);
-    EXPECT_EQ(batch.uncovered_count(betas), ref.size()) << to_string(sel);
+    EXPECT_EQ(batch.uncovered_count(betas), want.size()) << to_string(level);
   }
 }
 
@@ -281,19 +236,20 @@ TEST(KernelSimd, SolversIdenticalAcrossModesAndThreads) {
   std::vector<ParityFunc> ref_algo1, ref_greedy;
   for (const int threads : {1, 4}) {
     opts.threads = threads;
-    for (const KernelSel sel : kModes) {
-      const ScopedExecPolicy mode({.kernel = sel});
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
       const auto sol = minimize_parity_functions(t, opts);
       const auto greedy = greedy_cover(t);
-      EXPECT_TRUE(covers_all(sol, t)) << to_string(sel);
+      EXPECT_TRUE(ref_uncovered(sol, t).empty()) << to_string(level);
+      EXPECT_TRUE(ref_uncovered(greedy, t).empty()) << to_string(level);
       if (ref_algo1.empty()) {
         ref_algo1 = sol;
         ref_greedy = greedy;
       } else {
         EXPECT_EQ(sol, ref_algo1)
-            << to_string(sel) << " threads=" << threads;
+            << to_string(level) << " threads=" << threads;
         EXPECT_EQ(greedy, ref_greedy)
-            << to_string(sel) << " threads=" << threads;
+            << to_string(level) << " threads=" << threads;
       }
     }
   }

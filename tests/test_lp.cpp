@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/rng.hpp"
+#include "reference/dense_simplex.hpp"
 
 namespace ced::lp {
 namespace {
@@ -168,6 +169,7 @@ TEST(Simplex, SolutionSatisfiesAllConstraints) {
     }
     const LpResult r = solve(p);
     ASSERT_EQ(r.status, Status::kOptimal) << "trial " << trial;
+    EXPECT_TRUE(ced::reference::agrees_with_dense(p, r)) << "trial " << trial;
     for (int c = 0; c < nc; ++c) {
       double lhs = 0;
       for (int v = 0; v < nv; ++v) {

@@ -1,23 +1,25 @@
 // Sparse revised simplex (lp/revised.cpp): equivalence against the dense
-// tableau oracle on random problems, degenerate/cycling guards (Bland
+// tableau reference (tests/reference/dense_simplex.hpp) on random problems
+// and on every cover-LP formulation, degenerate/cycling guards (Bland
 // fallback), and the warm-start contract — a basis carried across cover-LP
 // formulations (core/ilp.hpp identity keys) must never change feasibility
 // verdicts or optimal objectives, and the full solver must select the same
-// q warm or cold, at 1 and 4 threads.
+// q at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
-#include <set>
 #include <vector>
 
-#include "common/exec.hpp"
 #include "core/algorithm1.hpp"
 #include "core/extract.hpp"
 #include "core/ilp.hpp"
 #include "core/parity.hpp"
 #include "lp/simplex.hpp"
+#include "reference/dense_simplex.hpp"
+#include "reference/scalar_cover.hpp"
 
 namespace ced {
 namespace {
@@ -25,33 +27,7 @@ namespace {
 using core::DetectabilityTable;
 using core::ErroneousCase;
 
-/// Random table in canonical form: each case is a sorted set of 1..max_len
-/// distinct nonzero difference words over n bits (same construction as
-/// test_coverkernel.cpp).
-DetectabilityTable random_table(std::mt19937_64& rng, int n, std::size_t m,
-                                int max_len) {
-  DetectabilityTable t;
-  t.num_bits = n;
-  t.latency = max_len;
-  const std::uint64_t mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  std::uniform_int_distribution<int> len_dist(1, max_len);
-  while (t.cases.size() < m) {
-    std::set<std::uint64_t> words;
-    const int len = len_dist(rng);
-    for (int k = 0; k < len; ++k) {
-      const std::uint64_t w = rng() & mask;
-      if (w != 0) words.insert(w);
-    }
-    if (words.empty()) continue;
-    ErroneousCase ec;
-    ec.length = static_cast<std::uint8_t>(words.size());
-    std::size_t k = 0;
-    for (const std::uint64_t w : words) ec.diff[k++] = w;
-    t.cases.push_back(ec);
-  }
-  return t;
-}
+using reference::random_table;
 
 /// Random bounded LP with mixed relations. Bounds are finite-lower with a
 /// mix of finite and infinite uppers; coefficients are small integers so
@@ -111,15 +87,8 @@ TEST(RevisedLp, MatchesDenseOracleOnRandomProblems) {
   int optimal_seen = 0;
   for (int t = 0; t < 300; ++t) {
     const lp::LpProblem p = random_lp(rng, nv_dist(rng), m_dist(rng));
-    lp::LpResult revised, dense;
-    {
-      ScopedExecPolicy mode({.lp = LpSel::kRevised});
-      revised = lp::solve(p);
-    }
-    {
-      ScopedExecPolicy mode({.lp = LpSel::kDense});
-      dense = lp::solve(p);
-    }
+    const lp::LpResult revised = lp::solve(p);
+    const lp::LpResult dense = reference::dense_solve(p);
     ASSERT_EQ(revised.status, dense.status) << "instance " << t;
     if (revised.status != lp::Status::kOptimal) continue;
     ++optimal_seen;
@@ -136,7 +105,6 @@ TEST(RevisedLp, MatchesDenseOracleOnRandomProblems) {
 // ties cycles forever without anti-cycling; the stall counter must hand
 // over to Bland's rule and terminate at the optimum.
 TEST(RevisedLp, BealeCyclingExampleTerminates) {
-  const ScopedExecPolicy mode({.lp = LpSel::kRevised});
   lp::LpProblem p;
   const int x1 = p.add_variable(0, lp::kInfinity, -0.75);
   const int x2 = p.add_variable(0, lp::kInfinity, 150.0);
@@ -156,7 +124,6 @@ TEST(RevisedLp, BealeCyclingExampleTerminates) {
 // optimal vertex and duplicated several times, so nearly every ratio test
 // ties at zero. The solver must still reach the optimum within its budget.
 TEST(RevisedLp, MassDegeneracyReachesOptimum) {
-  const ScopedExecPolicy mode({.lp = LpSel::kRevised});
   lp::LpProblem p;
   const int n = 8;
   std::vector<int> xs;
@@ -178,7 +145,6 @@ TEST(RevisedLp, MassDegeneracyReachesOptimum) {
 // Warm-starting a solve from its own optimal basis must apply structurally,
 // re-prove optimality with zero phase-1 work, and reproduce the objective.
 TEST(RevisedLp, WarmFromOwnBasisIsFree) {
-  const ScopedExecPolicy mode({.lp = LpSel::kRevised});
   std::mt19937_64 rng(11);
   const DetectabilityTable t = random_table(rng, 12, 40, 3);
   const std::vector<std::uint32_t> rows = [&] {
@@ -208,7 +174,6 @@ TEST(RevisedLp, WarmFromOwnBasisIsFree) {
 // optimal objective and the feasibility verdict identical to a cold solve
 // — a warm start changes the pivot path, never the answer.
 TEST(RevisedLp, WarmAcrossQMatchesColdOracle) {
-  const ScopedExecPolicy mode({.lp = LpSel::kRevised});
   std::mt19937_64 rng(23);
   for (int inst = 0; inst < 100; ++inst) {
     const int n = 6 + static_cast<int>(rng() % 8);
@@ -244,46 +209,69 @@ TEST(RevisedLp, WarmAcrossQMatchesColdOracle) {
   }
 }
 
-// End-to-end oracle: the full Algorithm-1 solver must pick the same q with
-// warm-started revised LPs (the default) as with the cold dense oracle
-// (CED_LP=dense ignores warm starts and yields no bases), at 1 and at 4
-// threads. Covers 100 random instances.
-TEST(RevisedLp, SolverQIdenticalWarmVsColdThreads1And4) {
+// The solver's first cover LP — reduced and literal Statement 5, over a
+// range of q — must be feasible at its optimum and
+// agree with the dense reference on status and optimal objective
+// (wherever the reference certifies; at most 1% of the formulations may
+// leave it without a certificate); and the full Algorithm-1 solver (warm
+// started across its probes) must select the same q at 1 and at 4 threads
+// and a complete cover. Covers 100 random instances.
+TEST(RevisedLp, FormulationsMatchDenseAndQIdenticalThreads1And4) {
   std::mt19937_64 rng(31);
+  int compared = 0;
+  int inconclusive = 0;
   for (int inst = 0; inst < 100; ++inst) {
     const int n = 8 + static_cast<int>(rng() % 8);
     const std::size_t m = 20 + rng() % 80;
     const DetectabilityTable t =
         random_table(rng, n, m, 1 + static_cast<int>(rng() % 3));
-
+    // The rows of the solver's first LP: the hardest lp_sample_rows rows.
     core::Algorithm1Options opts;
+    const core::SolverContext ctx(t);
+    const std::vector<std::uint32_t> rows(
+        ctx.hard_order.begin(),
+        ctx.hard_order.begin() +
+            std::min<std::ptrdiff_t>(opts.lp_sample_rows,
+                                     static_cast<std::ptrdiff_t>(m)));
+
+    for (const int q : {1, 2, 3}) {
+      for (const bool s5 : {false, true}) {
+        // The literal form carries q*p*m extra w columns, and the dense
+        // reference's cost grows with the square of the tableau, so it is
+        // checked on the smaller q only.
+        if (s5 && q > 2) continue;
+        const core::LpFormulation f = s5
+                                          ? core::build_lp_statement5(t, rows, q)
+                                          : core::build_lp(t, rows, q);
+        const lp::LpResult res = lp::solve(f.problem);
+        bool abstained = false;
+        EXPECT_TRUE(
+            reference::agrees_with_dense(f.problem, res, {}, &abstained))
+            << "instance " << inst << " q " << q
+            << (s5 ? " statement5" : " reduced");
+        ++compared;
+        if (abstained) ++inconclusive;
+      }
+    }
+
     opts.iter = 8;
     opts.row_rounds = 2;
     opts.seed = 0x5eed + static_cast<std::uint64_t>(inst);
 
-    int q_by_mode[2][2];
+    int q_by_threads[2];
     for (const int threads : {1, 4}) {
       opts.threads = threads;
-      for (const bool dense : {false, true}) {
-        const ScopedExecPolicy mode(
-            {.lp = dense ? LpSel::kDense : LpSel::kRevised});
-        core::Algorithm1Stats stats;
-        const auto sol = core::minimize_parity_functions(t, opts, &stats);
-        ASSERT_TRUE(core::covers_all(sol, t))
-            << "instance " << inst << " threads " << threads
-            << (dense ? " dense" : " revised");
-        q_by_mode[threads == 4][dense] = static_cast<int>(sol.size());
-        if (!dense) {
-          // Warm starts must actually engage on multi-probe searches.
-          EXPECT_GE(stats.lp_warm_hits, 0);
-          EXPECT_LE(stats.lp_warm_hits, stats.lp_warm_attempts);
-        }
-      }
-      EXPECT_EQ(q_by_mode[threads == 4][0], q_by_mode[threads == 4][1])
+      core::Algorithm1Stats stats;
+      const auto sol = core::minimize_parity_functions(t, opts, &stats);
+      ASSERT_TRUE(reference::ref_uncovered(sol, t).empty())
           << "instance " << inst << " threads " << threads;
+      q_by_threads[threads == 4] = static_cast<int>(sol.size());
+      EXPECT_LE(stats.lp_warm_hits, stats.lp_warm_attempts);
     }
-    EXPECT_EQ(q_by_mode[0][0], q_by_mode[1][0]) << "instance " << inst;
+    EXPECT_EQ(q_by_threads[0], q_by_threads[1]) << "instance " << inst;
   }
+  // The dense reference must actually certify nearly every formulation.
+  EXPECT_LE(inconclusive * 100, compared) << inconclusive << " of " << compared;
 }
 
 }  // namespace

@@ -83,6 +83,8 @@ TEST(ResolveThreads, ExplicitRequestWinsOverEnvironment) {
 // ----------------------------------------------------------- determinism
 
 TEST(ParallelExtract, TablesAreIdenticalAcrossThreadCounts) {
+  // One shard per thread, as the pipeline runs without a store: the
+  // partition changes with the thread count, the cases must not.
   for (const char* name : {"link_rx", "traffic", "arbiter"}) {
     const fsm::FsmCircuit c = circuit_for(name);
     const auto faults = sim::enumerate_stuck_at(c.netlist);
@@ -91,8 +93,10 @@ TEST(ParallelExtract, TablesAreIdenticalAcrossThreadCounts) {
     serial.threads = 1;
     core::ExtractOptions wide = serial;
     wide.threads = 4;
-    const auto t1 = core::extract_cases_multi(c, faults, serial);
-    const auto t4 = core::extract_cases_multi(c, faults, wide);
+    const auto t1 =
+        core::extract_cases_sharded(c, faults, serial, {.num_shards = 1});
+    const auto t4 =
+        core::extract_cases_sharded(c, faults, wide, {.num_shards = 4});
     ASSERT_EQ(t1.size(), t4.size());
     for (std::size_t p = 0; p < t1.size(); ++p) {
       EXPECT_FALSE(t1[p].truncated);
@@ -193,7 +197,7 @@ TEST(ParallelBudget, DeadlineStopsAllWorkers) {
   opts.latency = 3;
   opts.threads = 4;
   opts.deadline = core::Deadline::after(1e-9);  // effectively pre-expired
-  const auto tables = core::extract_cases_multi(c, faults, opts);
+  const auto tables = core::extract_cases_sharded(c, faults, opts);
   for (const auto& t : tables) {
     EXPECT_TRUE(t.truncated);
     EXPECT_NE(t.truncation_reason.find("wall-clock"), std::string::npos);

@@ -9,14 +9,17 @@
 
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "benchdata/handwritten.hpp"
 #include "common/io.hpp"
+#include "core/extract.hpp"
 #include "core/pipeline.hpp"
 #include "core/run.hpp"
 #include "kiss/kiss.hpp"
+#include "sim/faults.hpp"
 #include "storage/store.hpp"
 
 namespace ced::storage {
@@ -218,6 +221,66 @@ TEST_F(ResumeTest, WarmCacheSkipsExtractionEntirely) {
   EXPECT_EQ(rep.parities, cold.parities);
   EXPECT_EQ(rep.num_cases, cold.num_cases);
   EXPECT_TRUE(rep.resilience.store_events.empty());
+}
+
+// The case valve (max_cases) is a per-shard bound on both extraction
+// paths: a run that checkpoints into a store and a run without one must
+// trip it identically — same truncation flag, same cases, same scheme —
+// when the store's shard partition matches the thread count.
+TEST_F(ResumeTest, CaseValveSameWithAndWithoutStore) {
+  const fsm::Fsm f =
+      fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("link_rx")));
+  core::PipelineOptions opts;
+  opts.latency = 3;
+  opts.exec.threads = 4;
+  opts.checkpoint_shards = 4;
+  opts.budget.max_cases = 32;
+  const core::PipelineReport plain =
+      ced::run_pipeline(f, ced::RunConfig::wrap(opts));
+
+  ArtifactStore store(fresh_dir("valve"));
+  StoreArchive archive(store);
+  opts.archive = &archive;
+  const core::PipelineReport stored =
+      ced::run_pipeline(f, ced::RunConfig::wrap(opts));
+
+  EXPECT_TRUE(plain.resilience.extraction_truncated);
+  EXPECT_EQ(stored.resilience.extraction_truncated,
+            plain.resilience.extraction_truncated);
+  EXPECT_EQ(stored.num_cases, plain.num_cases);
+  EXPECT_EQ(stored.parities, plain.parities);
+
+  // Table level: the checkpointing extraction (every complete shard
+  // materialized for `save`) and the plain one give the same cases.
+  const fsm::FsmCircuit c =
+      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  const auto faults = sim::enumerate_stuck_at(c.netlist);
+  core::ExtractOptions ex;
+  ex.latency = 3;
+  ex.threads = 4;
+  ex.max_cases = 32;
+  core::ShardedExtractOptions sharding;
+  sharding.num_shards = 4;
+  core::ExtractCheckpointHooks hooks;
+  std::size_t saved = 0;
+  std::mutex mu;
+  hooks.save = [&](const core::ExtractShard&) {
+    const std::lock_guard<std::mutex> lock(mu);
+    ++saved;
+  };
+  const auto with_hooks =
+      core::extract_cases_sharded(c, faults, ex, sharding, hooks);
+  const auto without = core::extract_cases_sharded(c, faults, ex, sharding);
+  const core::DetectabilityTable wrapped = core::extract_cases(c, faults, ex);
+  EXPECT_GT(saved, 0u);  // some shards completed under the valve
+  ASSERT_EQ(with_hooks.size(), without.size());
+  for (std::size_t p = 0; p < without.size(); ++p) {
+    EXPECT_EQ(with_hooks[p].truncated, without[p].truncated) << "p=" << p + 1;
+    EXPECT_TRUE(with_hooks[p].cases == without[p].cases) << "p=" << p + 1;
+  }
+  EXPECT_TRUE(without.back().truncated);
+  EXPECT_TRUE(wrapped.cases == without.back().cases);
+  EXPECT_EQ(wrapped.truncated, without.back().truncated);
 }
 
 }  // namespace

@@ -258,8 +258,6 @@ TEST(Protocol, RequestRoundTrip) {
   req.semantics = "machine";
   req.seed = 99;
   req.deadline_ms = 1500;
-  req.kernel = "bitsliced";
-  req.lp = "dense";
   req.threads = 3;
   auto doc = Json::parse(encode_request(req));
   ASSERT_TRUE(doc.has_value()) << doc.status().to_text();
@@ -274,28 +272,37 @@ TEST(Protocol, RequestRoundTrip) {
   EXPECT_EQ(back->semantics, req.semantics);
   EXPECT_EQ(back->seed, req.seed);
   EXPECT_EQ(back->deadline_ms, req.deadline_ms);
-  EXPECT_EQ(back->kernel, req.kernel);
-  EXPECT_EQ(back->lp, req.lp);
   EXPECT_EQ(back->threads, req.threads);
 }
 
-// Requests that never mention the policy fields come back all-auto, and
-// the encoder omits them — old clients and new servers interoperate.
+// Requests that never mention the policy field come back with threads 0
+// (server default), and the encoder omits it. Requests from older clients
+// that still carry the retired "kernel"/"lp" fields parse, and re-encode
+// without them — old clients and new servers interoperate.
 TEST(Protocol, ExecPolicyFieldsDefaultToAuto) {
   Request req;
   req.op = "protect";
   req.kiss = ".i 1";
   const std::string wire = encode_request(req);
-  EXPECT_EQ(wire.find("kernel"), std::string::npos);
-  EXPECT_EQ(wire.find("\"lp\":"), std::string::npos);
   EXPECT_EQ(wire.find("threads"), std::string::npos);
   auto doc = Json::parse(wire);
   ASSERT_TRUE(doc.has_value());
   auto back = parse_request(*doc);
   ASSERT_TRUE(back.has_value()) << back.status().to_text();
-  EXPECT_EQ(back->kernel, "auto");
-  EXPECT_EQ(back->lp, "auto");
   EXPECT_EQ(back->threads, 0);
+
+  const std::string legacy =
+      "{\"op\":\"protect\",\"kiss\":\".i 1\",\"kernel\":\"scalar\","
+      "\"lp\":\"dense\",\"threads\":2}";
+  auto legacy_doc = Json::parse(legacy);
+  ASSERT_TRUE(legacy_doc.has_value());
+  auto parsed = parse_request(*legacy_doc);
+  ASSERT_TRUE(parsed.has_value()) << parsed.status().to_text();
+  EXPECT_EQ(parsed->threads, 2);
+  const std::string again = encode_request(*parsed);
+  EXPECT_EQ(again.find("kernel"), std::string::npos);
+  EXPECT_EQ(again.find("\"lp\":"), std::string::npos);
+  EXPECT_NE(again.find("\"threads\":2"), std::string::npos);
 }
 
 TEST(Protocol, ResponseParityMasksSurviveAboveDoublePrecision) {
@@ -324,8 +331,6 @@ TEST(Protocol, InvalidRequestsAreStructurallyRejected) {
       {"bad-solver", R"({"op":"protect","kiss":"x","solver":"quantum"})"},
       {"bad-encoding", R"({"op":"protect","kiss":"x","encoding":"morse"})"},
       {"sweep-without-latencies", R"({"op":"sweep","kiss":"x"})"},
-      {"bad-kernel", R"({"op":"protect","kiss":"x","kernel":"fpga"})"},
-      {"bad-lp", R"({"op":"protect","kiss":"x","lp":"interior"})"},
       {"bad-threads", R"({"op":"protect","kiss":"x","threads":-1})"},
       {"oversized-id",
        R"({"op":"health","id":")"
@@ -365,9 +370,7 @@ TEST(RunConfigDigest, GoldenPinForKnownConfig) {
   // test_obs's exclusion checks).
   obs::MetricsRegistry registry;
   const auto ctx = RunConfig::Builder(*cfg)
-                       .exec({.kernel = KernelSel::kScalar,
-                              .lp = LpSel::kDense,
-                              .threads = 8})
+                       .exec({.threads = 8})
                        .observe(obs::Sinks{nullptr, &registry, 0})
                        .build();
   ASSERT_TRUE(ctx.has_value());
@@ -481,11 +484,11 @@ TEST_F(ServeTest, ColdThenWarmProtect) {
   server.drain();
 }
 
-// A request may pin its own execution policy (kernel/lp/threads). The
-// policy changes wall-clock only, never results: a run pinned to the
-// scalar oracle produces the same parities as the default, and — because
-// the policy is excluded from the cache key — a later default-policy
-// request warm-hits the scalar run's cache entry.
+// A request may pin its own execution policy (its thread count). The
+// policy changes wall-clock only, never results: a run pinned to one
+// thread produces the same parities as the default, and — because the
+// policy is excluded from the cache key — a later default-policy request
+// warm-hits the pinned run's cache entry.
 TEST_F(ServeTest, ExecPolicyPinnedPerRequestSharesCache) {
   Server server(base_options());
   ASSERT_TRUE(server.start().ok());
@@ -493,8 +496,6 @@ TEST_F(ServeTest, ExecPolicyPinnedPerRequestSharesCache) {
   const std::string kiss = benchdata::handwritten_kiss("traffic");
 
   Request pinned = protect_request(kiss);
-  pinned.kernel = "scalar";
-  pinned.lp = "dense";
   pinned.threads = 1;
   auto cold = client.call_once(pinned);
   ASSERT_TRUE(cold.has_value()) << cold.status().to_text();

@@ -220,7 +220,7 @@ TEST(Algorithm1, MonotoneInLatency) {
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   ExtractOptions opts;
   opts.latency = 3;
-  const auto multi = extract_cases_multi(c, faults, opts);
+  const auto multi = extract_cases_sharded(c, faults, opts);
   std::size_t prev = 1000;
   std::vector<ParityFunc> warm;
   for (int p : {1, 2, 3}) {

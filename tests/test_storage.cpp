@@ -44,7 +44,7 @@ std::vector<core::DetectabilityTable> tables_for(const fsm::FsmCircuit& c,
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   core::ExtractOptions opts;
   opts.latency = latency;
-  return core::extract_cases_multi(c, faults, opts);
+  return core::extract_cases_sharded(c, faults, opts);
 }
 
 /// Every test gets a private store directory, removed unconditionally in

@@ -166,9 +166,10 @@ int cmd_help() {
       "  flag                 default    meaning\n"
       "  --budget-seconds=F   unlimited  wall-clock budget for the whole "
       "run\n"
-      "  --max-cases=N        5000000    erroneous-case cap per table; on\n"
-      "                                  overflow the table truncates and\n"
-      "                                  keeps the cases found so far\n"
+      "  --max-cases=N        5000000    erroneous-case cap per table and\n"
+      "                                  extraction shard; on overflow the\n"
+      "                                  table truncates and keeps the\n"
+      "                                  cases found so far\n"
       "  --max-lp-iters=N     200000     simplex pivot cap per LP solve\n"
       "  --max-roundings=N    40         randomized-rounding attempts per\n"
       "                                  LP solution\n"
