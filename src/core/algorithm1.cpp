@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 
 #include "common/parallel.hpp"
 #include "core/rng.hpp"
@@ -22,10 +23,13 @@ int hardness_of(const ErroneousCase& ec) {
 /// Insertion-ordered row list with O(1) duplicate rejection: the LP rows
 /// and the stride spread overlap, and full-table checks keep teaching the
 /// sample rows it already knows — without dedup every screening trial
-/// re-evaluates those indices.
+/// re-evaluates those indices. The sample only grows, in insertion order,
+/// so a subset kernel built at the same row count is the same kernel:
+/// kernel() rebuilds it only when rows were added since the last build.
 class RowSet {
  public:
-  explicit RowSet(std::size_t universe) : in_(universe, false) {}
+  RowSet(const DetectabilityTable& table, Algorithm1Stats* stats)
+      : table_(&table), stats_(stats), in_(table.cases.size(), false) {}
 
   void add(std::uint32_t r) {
     if (in_[r]) return;
@@ -35,9 +39,21 @@ class RowSet {
 
   const std::vector<std::uint32_t>& rows() const { return rows_; }
 
+  /// Subset kernel over rows(); local row i is table row rows()[i].
+  const CoverKernel& kernel() {
+    if (!kernel_ || kernel_->num_rows() != rows_.size()) {
+      kernel_.emplace(*table_, rows_);
+      if (stats_) ++stats_->sample_kernel_builds;
+    }
+    return *kernel_;
+  }
+
  private:
+  const DetectabilityTable* table_;
+  Algorithm1Stats* stats_;
   std::vector<bool> in_;
   std::vector<std::uint32_t> rows_;
+  std::optional<CoverKernel> kernel_;
 };
 
 /// One randomized rounding per eq. (1), with a mild late-iteration blend
@@ -60,17 +76,17 @@ std::vector<ParityFunc> round_once(const std::vector<std::vector<double>>& x,
   return betas;
 }
 
-/// Hill-climb repair over a row subset: flips bits of the candidate trees
-/// to reduce the number of uncovered rows (exact GF(2) evaluation, but only
-/// on `rows` — callers re-verify against the full table). Each tree holds a
-/// BetaCursor over a subset kernel. While only tree t moves, the union of
-/// the OTHER trees' covers is a constant base, so all n flip-candidates of
-/// tree t are probed in one blocked neighbor_counts sweep; after an
+/// Hill-climb repair over a sample kernel: flips bits of the candidate
+/// trees to reduce the number of uncovered sample rows (exact GF(2)
+/// evaluation, but only on the sample — callers re-verify against the full
+/// table). Each tree holds a BetaCursor over the kernel. While only tree t
+/// moves, the union of the OTHER trees' covers is a constant base, so all
+/// n flip-candidates of tree t are probed in one blocked neighbor_counts
+/// sweep; after an
 /// accepted flip the remaining candidates are re-probed, so the scan takes
 /// the first improving flip in bit order.
-bool repair_on(std::vector<ParityFunc>& betas, const DetectabilityTable& table,
-               std::span<const std::uint32_t> rows, int n) {
-  const CoverKernel sub(table, rows);
+bool repair_on(std::vector<ParityFunc>& betas, const CoverKernel& sub) {
+  const int n = sub.num_bits();
   std::vector<BetaCursor> cur;
   cur.reserve(betas.size());
   for (const ParityFunc b : betas) cur.emplace_back(sub, b);
@@ -155,7 +171,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
   // (deduplicated — the spread overlaps the LP rows). Roundings are
   // screened against it; only screen-passing candidates pay for the exact
   // full-table Statement-4 check.
-  RowSet check(table.cases.size());
+  RowSet check(table, stats);
   for (auto rid : rows) check.add(rid);
   if (table.cases.size() > opts.verify_sample_cap) {
     const std::size_t stride = table.cases.size() / opts.verify_sample_cap;
@@ -249,8 +265,8 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       bool ran = false;
     };
     std::vector<Trial> trials(static_cast<std::size_t>(std::max(opts.iter, 0)));
-    const std::vector<std::uint32_t> screen = check.rows();
-    const CoverKernel screen_kernel(table, screen);
+    // Valid until the sample next grows (full_check below adds rows).
+    const CoverKernel& screen_kernel = check.kernel();
     std::atomic<int> executed{0};
     parallel_for(threads, trials.size(), [&](std::size_t it) {
       if (opts.deadline.expired()) return;  // trial skipped, noted below
@@ -276,7 +292,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       stats->roundings += static_cast<int>(ran);
       // Screening-cost accounting at trial-batch granularity (outside the
       // decision path; the search never reads these).
-      stats->kernel_case_evals += ran * screen.size();
+      stats->kernel_case_evals += ran * screen_kernel.num_rows();
     }
     if (opts.obs.metrics != nullptr) {
       // Batch-size distribution of the one-pass trial screens (write-only;
@@ -313,7 +329,9 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
     // Row generation: add the hardest still-violated sample rows of the
     // best attempt and re-solve.
     if (best_attempt.empty()) break;
-    auto uncov = uncovered_among(best_attempt, table, check.rows());
+    const CoverKernel& sample = check.kernel();
+    auto uncov = sample.uncovered(best_attempt);
+    for (std::uint32_t& rid : uncov) rid = sample.global_row(rid);
     std::stable_sort(uncov.begin(), uncov.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
                        return ctx->hardness[a] < ctx->hardness[b];
@@ -347,7 +365,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
         break;
       }
       if (stats) ++stats->repairs;
-      if (!repair_on(best_attempt, table, check.rows(), table.num_bits)) break;
+      if (!repair_on(best_attempt, check.kernel())) break;
       if (full_check(best_attempt)) {
         return prune_redundant(best_attempt, table, &ctx->kernel);
       }
@@ -383,7 +401,7 @@ void drop_and_repair(std::vector<ParityFunc>& best,
                      const DetectabilityTable& table,
                      const Algorithm1Options& opts, Algorithm1Stats* stats,
                      const SolverContext& ctx) {
-  RowSet check(table.cases.size());
+  RowSet check(table, stats);
   seed_verification_sample(check, table, opts.verify_sample_cap);
   bool improved = true;
   while (improved && best.size() > 1) {
@@ -401,7 +419,7 @@ void drop_and_repair(std::vector<ParityFunc>& best,
       bool covered = false;
       for (int attempt = 0; attempt < 4; ++attempt) {
         if (stats) ++stats->repairs;
-        if (!repair_on(cand, table, check.rows(), table.num_bits)) break;
+        if (!repair_on(cand, check.kernel())) break;
         const auto missed = ctx.kernel.uncovered(cand);
         if (missed.empty()) {
           covered = true;
@@ -548,6 +566,8 @@ std::vector<ParityFunc> minimize_parity_functions(
               static_cast<std::uint64_t>(st->repairs - entry.repairs));
     shard.add("ced_solve_kernel_case_evals_total",
               st->kernel_case_evals - entry.kernel_case_evals);
+    shard.add("ced_solve_sample_kernel_builds_total",
+              st->sample_kernel_builds - entry.sample_kernel_builds);
     shard.add("ced_solve_q_probes_total",
               static_cast<std::uint64_t>(st->qs_tried.size() -
                                          entry.qs_tried.size()));

@@ -87,16 +87,20 @@ struct Algorithm1Stats {
   /// True when even the greedy seeding ran out of time and closed out with
   /// single-bit functions.
   bool greedy_degraded = false;
-  /// Rows the pipeline's solver actually saw after subset-dominance
-  /// condensation (see core/coverkernel.hpp); 0 when condensation was
-  /// disabled or the solver was invoked outside the pipeline; equals the
-  /// table size when nothing was dominated.
+  /// Rows the solver actually saw after select_parities_resilient's
+  /// subset-dominance condensation (see core/coverkernel.hpp); 0 when
+  /// condensation was off — always in the pipeline, whose extracted
+  /// tables are antichains already; equals the table size when nothing
+  /// was dominated.
   std::size_t condensed_cases = 0;
   std::vector<int> qs_tried;
   /// Screening-check row evaluations performed through the bit-sliced
   /// kernel (trial-batch granularity: executed trials x sample rows).
   /// Diagnostics only — never consulted by the search.
   std::uint64_t kernel_case_evals = 0;
+  /// Subset kernels built over the verification samples (screens, repair
+  /// and row generation share one per sample size). Diagnostics only.
+  std::uint64_t sample_kernel_builds = 0;
 };
 
 struct ResilienceReport;

@@ -33,8 +33,7 @@ struct KernelShape;
 ///
 /// A kernel can be built over the whole table or over a row subset; local
 /// row r of a subset kernel corresponds to table row rows[r] (queries
-/// report local indices in `rows` order, which matches the scalar
-/// uncovered_among iteration order).
+/// report local indices in `rows` order; global_row maps them back).
 ///
 /// Every pass runs through the vector engine of the level the host
 /// supports (AVX2 / NEON, see common/cpu.hpp), which degrades to plain

@@ -17,6 +17,15 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+std::vector<ParityFunc> select_parities_on(
+    const DetectabilityTable& table, const PipelineOptions& opts,
+    const Deadline& deadline, Algorithm1Stats* stats,
+    std::span<const ParityFunc> warm_start, ResilienceReport& resilience);
+
+/// One latency's report. `prev` is the sweep's previous report (null for
+/// the first): the circuit and the CED options are fixed within a sweep,
+/// so when this latency selects the same parities its CED cost is
+/// `prev`'s and synthesis is skipped.
 PipelineReport report_for(const fsm::FsmCircuit& circuit,
                           const std::vector<sim::StuckAtFault>& faults,
                           const DetectabilityTable& table,
@@ -24,6 +33,7 @@ PipelineReport report_for(const fsm::FsmCircuit& circuit,
                           const Deadline& deadline,
                           std::span<const ParityFunc> warm_start,
                           bool warm_is_lower_latency_cover,
+                          const PipelineReport* prev,
                           obs::StageClock& clock, const obs::Sinks& run_obs) {
   PipelineReport rep;
   rep.inputs = circuit.r();
@@ -61,9 +71,12 @@ PipelineReport report_for(const fsm::FsmCircuit& circuit,
     solve_opts.obs = run_obs.under(solve_span);
     effective = &solve_opts;
   }
-  rep.parities = select_parities_resilient(table, *effective, deadline,
-                                           &rep.algo_stats, warm_start,
-                                           rep.resilience);
+  // Extraction output is already the subset-minimal antichain (the shard
+  // merge ends in compact()), so condensation would remove nothing: the
+  // cascade solves the table as it stands.
+  rep.parities = select_parities_on(table, *effective, deadline,
+                                    &rep.algo_stats, warm_start,
+                                    rep.resilience);
   // A cover for a smaller latency bound is always a valid cover for this
   // one (detecting earlier is allowed), even when this table was
   // conservatively strengthened and the solver could not do as well. The
@@ -79,10 +92,23 @@ PipelineReport report_for(const fsm::FsmCircuit& circuit,
 
   const std::uint64_t ced_span =
       clock.open(run_obs.tracer, "ced-synth", run_obs.parent_span);
-  const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  const auto cost = hw.cost(opts.library);
-  rep.ced_gates = cost.gates;
-  rep.ced_area = cost.area;
+  const bool reused = prev != nullptr && prev->parities == rep.parities;
+  if (reused) {
+    rep.ced_gates = prev->ced_gates;
+    rep.ced_area = prev->ced_area;
+  } else {
+    const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
+    const auto cost = hw.cost(opts.library);
+    rep.ced_gates = cost.gates;
+    rep.ced_area = cost.area;
+  }
+  if (run_obs.tracer != nullptr && ced_span != 0) {
+    run_obs.tracer->attr(ced_span, "reused", reused ? "yes" : "no");
+  }
+  if (run_obs.metrics != nullptr) {
+    // Registered at 0 too, so every observed run reports the counter.
+    run_obs.metrics->add("ced_cedsynth_reused_total", reused ? 1 : 0);
+  }
   rep.t_ced = clock.close(run_obs.tracer, ced_span);
 
   if (rep.resilience.status.ok() && rep.resilience.degraded()) {
@@ -401,9 +427,10 @@ std::vector<PipelineReport> run_latency_sweep_impl(
       // the sweep to be complete (truncated tables lose the containment
       // argument between latencies).
       const bool ascending = warm.empty() || p >= reports.back().latency;
-      PipelineReport rep =
-          report_for(circuit, faults, table, opts, deadline, warm,
-                     ascending && !any_truncated, clock, run_obs);
+      PipelineReport rep = report_for(
+          circuit, faults, table, opts, deadline, warm,
+          ascending && !any_truncated,
+          reports.empty() ? nullptr : &reports.back(), clock, run_obs);
       rep.t_synth = t_synth;
       rep.t_extract = t_extract;
       rep.extraction_key = extraction_key;

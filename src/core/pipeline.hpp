@@ -44,11 +44,14 @@ struct PipelineOptions {
   /// Results (tables, parities, CED hardware) are identical under every
   /// policy on non-truncated runs; only wall-clock changes.
   ExecPolicy exec;
-  /// Subset-dominance condensation before the solver (coverkernel.hpp):
-  /// rows whose difference-word set contains another row's set add no
-  /// constraint and are deleted, shrinking m before the LP/rounding ever
-  /// runs. Provably solution-preserving (the returned cover is re-verified
-  /// against the full table); disable to solve on the raw table.
+  /// Subset-dominance condensation in select_parities_resilient
+  /// (coverkernel.hpp): rows whose difference-word set contains another
+  /// row's set add no constraint and are deleted, shrinking m before the
+  /// LP/rounding ever runs. Provably solution-preserving (the returned
+  /// cover is re-verified against the full table); disable to solve on the
+  /// raw table. For callers that pass their own tables: the pipeline's
+  /// extracted tables are subset-minimal antichains already, so
+  /// run_latency_sweep_impl never condenses.
   bool condense = true;
   /// Resource budget for the whole run. When any valve trips, stages
   /// degrade (exact -> LP+RR -> greedy -> duplication-style floor; table

@@ -20,7 +20,10 @@ std::string RunConfig::digest() const {
   d.absorb(static_cast<std::uint64_t>(o.encoding));
   d.absorb(static_cast<std::uint64_t>(o.latency));
   d.absorb(static_cast<std::uint64_t>(o.solver));
-  d.absorb(std::uint64_t{o.condense ? 1u : 0u});
+  // Condensation slot, fixed at 1: the pipeline solves its extracted
+  // tables (antichains already) without condensing, and keeping the slot
+  // keeps every existing digest's meaning.
+  d.absorb(std::uint64_t{1});
   // Synthesis shaping (front end and CED back end).
   d.absorb(static_cast<std::uint64_t>(o.synth.minimizer));
   d.absorb(std::uint64_t{o.synth.factor ? 1u : 0u});
@@ -86,10 +89,6 @@ RunConfig::Builder& RunConfig::Builder::exec(const ExecPolicy& p) {
 }
 RunConfig::Builder& RunConfig::Builder::threads(int n) {
   opts_.exec.threads = n;
-  return *this;
-}
-RunConfig::Builder& RunConfig::Builder::condense(bool on) {
-  opts_.condense = on;
   return *this;
 }
 RunConfig::Builder& RunConfig::Builder::seed(std::uint64_t s) {

@@ -85,7 +85,6 @@ class RunConfig::Builder {
   Builder& exec(const ExecPolicy& p);
   /// Shorthand for exec({.threads = n}).
   Builder& threads(int n);
-  Builder& condense(bool on);
   Builder& seed(std::uint64_t s);
 
   Builder& budget(const core::RunBudget& b);

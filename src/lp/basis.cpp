@@ -24,6 +24,14 @@ void EtaBasis::push(const std::vector<double>& w, int row) {
   etas_.push_back(std::move(e));
 }
 
+void EtaBasis::push_unit(int row, double pivot) {
+  Eta e;
+  e.row = row;
+  e.pivot = pivot;
+  nonzeros_ += 1;
+  etas_.push_back(std::move(e));
+}
+
 void EtaBasis::ftran(std::vector<double>& x) const {
   for (const Eta& e : etas_) {
     double& xr = x[static_cast<std::size_t>(e.row)];

@@ -5,9 +5,10 @@
 // The basis inverse is never formed explicitly: it is the composition of
 // sparse eta matrices, one per Gauss-Jordan pivot. Refactorization (driven
 // by revised.cpp) rebuilds the file from the current basis columns —
-// mostly unit logicals in the cover LPs, so the refactorized file stays
-// near the nonzero count of the basis itself — and the per-iteration
-// FTRAN/BTRAN cost is the nonzero count of the file, not O(m^2).
+// mostly unit logicals in the cover LPs, each appended as an O(1) unit
+// eta, so the refactorized file stays near the nonzero count of the
+// basis itself — and the per-iteration FTRAN/BTRAN cost is the nonzero
+// count of the file, not O(m^2).
 //
 // Everything here is deterministic: etas are applied in a fixed order and
 // no tolerance-dependent entry dropping happens after construction.
@@ -32,6 +33,12 @@ class EtaBasis {
   /// (dense, length m, already FTRANed through the existing file).
   /// w[row] must be nonzero — callers check against their pivot tolerance.
   void push(const std::vector<double>& w, int row);
+
+  /// Appends the eta of a column that is `pivot` * e_row after FTRAN
+  /// (a basic logical factorized before any structural: no earlier eta
+  /// touches its row). O(1) — the same eta push() would record for that
+  /// column, without the dense scan.
+  void push_unit(int row, double pivot);
 
   /// x := B^{-1} x. Zero pivot-row values short-circuit their eta.
   void ftran(std::vector<double>& x) const;

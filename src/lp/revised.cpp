@@ -168,13 +168,13 @@ class RevisedSimplex {
   /// pivoting: each column pivots at the still-free row where it is
   /// largest (the row assignment of a basic variable is bookkeeping, not
   /// an invariant — any permutation of the same column set is the same
-  /// basis). Unit logical columns go first (zero fill), structural columns
-  /// after, in deterministic order. A column with no usable pivot is
-  /// linearly dependent on the ones already processed — possible for
-  /// mapped warm-start bases — and is *repaired*: displaced to
-  /// nonbasic-at-lower, its row taken by a logical (the composite phase 1
-  /// absorbs the resulting infeasibility). Returns true when the basis
-  /// content changed (repair or full reset).
+  /// basis). Unit logical columns go first (zero fill, one O(1) unit eta
+  /// each), structural columns after, in deterministic order. A column
+  /// with no usable pivot is linearly dependent on the ones already
+  /// processed — possible for mapped warm-start bases — and is
+  /// *repaired*: displaced to nonbasic-at-lower, its row taken by a
+  /// logical (the composite phase 1 absorbs the resulting infeasibility).
+  /// Returns true when the basis content changed (repair or full reset).
   bool refactor() {
     bool changed = false;
     for (int attempt = 0; attempt < 2; ++attempt) {
@@ -199,6 +199,17 @@ class RevisedSimplex {
         const int col = basis_[static_cast<std::size_t>(i)];
         const bool logical = col >= nv_;
         if ((pass == 0) != logical) continue;
+        if (logical) {
+          // A basic logical is +-e_r, and the only etas ahead of it are
+          // other logicals' unit etas on their own rows, so FTRAN leaves
+          // it unchanged: it pivots on its own row r with pivot +-1 and no
+          // off-pivot entries. Append that eta directly.
+          const int r = col - nv_;
+          row_used[static_cast<std::size_t>(r)] = 1;
+          new_basis[static_cast<std::size_t>(r)] = col;
+          eta_.push_unit(r, A_.column(col).front().value);
+          continue;
+        }
         load_column(col, w);
         eta_.ftran(w);
         int best = -1;
@@ -212,7 +223,6 @@ class RevisedSimplex {
         }
         if (best < 0) {
           // Dependent on the columns already factorized.
-          if (logical) return false;  // pathological; restart cold
           stat_[static_cast<std::size_t>(col)] = VStat::kAtLower;
           changed = true;
           continue;  // the leftover row gets a logical below

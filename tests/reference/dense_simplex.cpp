@@ -4,6 +4,7 @@
 
 #include "reference/dense_simplex.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -114,6 +115,92 @@ class Tableau {
       d[static_cast<std::size_t>(j)] = 0.0;
     }
     basis_[static_cast<std::size_t>(r)] = j;
+  }
+
+  /// Re-inversion: recomputes the tableau, the basic values and the
+  /// reduced costs from the original rows `t0`/`b0` (m x n, before any
+  /// pivot) for the current basis and orientation, discarding the rounding
+  /// error the pivots accumulated. With s_j = -1 on reflected columns, the
+  /// tableau is B^{-1} [s_j t0_j] and the basic values are
+  /// B^{-1} (b0 - sum_{reflected j} t0_j ub_j), B being the oriented basic
+  /// columns in row order; reduced costs follow from the oriented `cost`.
+  /// Gauss-Jordan with partial pivoting. Returns false, leaving the
+  /// tableau as it was, when the basis is numerically singular.
+  bool reinvert(const std::vector<double>& t0, const std::vector<double>& b0,
+                const std::vector<double>& cost) {
+    const std::size_t n = static_cast<std::size_t>(n_);
+    const std::size_t w = n + 1;  // augmented with the right-hand side
+    std::vector<double> a(static_cast<std::size_t>(m_) * w);
+    for (int i = 0; i < m_; ++i) {
+      const double* src = t0.data() + static_cast<std::size_t>(i) * n;
+      double* dst = a.data() + static_cast<std::size_t>(i) * w;
+      double rhs = b0[static_cast<std::size_t>(i)];
+      for (std::size_t j = 0; j < n; ++j) {
+        if (flipped_[j]) {
+          dst[j] = -src[j];
+          if (src[j] != 0.0) rhs -= src[j] * ub_[j];
+        } else {
+          dst[j] = src[j];
+        }
+      }
+      dst[n] = rhs;
+    }
+    // Eliminate column basis_[i] on the free row where it is largest.
+    std::vector<int> row_of(static_cast<std::size_t>(m_), -1);
+    std::vector<char> used(static_cast<std::size_t>(m_), 0);
+    for (int i = 0; i < m_; ++i) {
+      const auto col =
+          static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)]);
+      int best = -1;
+      double mag = 1e-11;
+      for (int r = 0; r < m_; ++r) {
+        const double v = std::abs(a[static_cast<std::size_t>(r) * w + col]);
+        if (used[static_cast<std::size_t>(r)] == 0 && v > mag) {
+          mag = v;
+          best = r;
+        }
+      }
+      if (best < 0) return false;
+      used[static_cast<std::size_t>(best)] = 1;
+      row_of[static_cast<std::size_t>(i)] = best;
+      double* __restrict__ pr = a.data() + static_cast<std::size_t>(best) * w;
+      const double inv = 1.0 / pr[col];
+      for (std::size_t k = 0; k < w; ++k) pr[k] *= inv;
+      pr[col] = 1.0;
+      for (int r = 0; r < m_; ++r) {
+        if (r == best) continue;
+        double* __restrict__ ar = a.data() + static_cast<std::size_t>(r) * w;
+        const double f = ar[col];
+        if (f == 0.0) continue;
+        for (std::size_t k = 0; k < w; ++k) ar[k] -= f * pr[k];
+        ar[col] = 0.0;
+      }
+    }
+    for (int i = 0; i < m_; ++i) {
+      const auto r =
+          static_cast<std::size_t>(row_of[static_cast<std::size_t>(i)]);
+      const double* src = a.data() + r * w;
+      std::copy(src, src + n, t_.data() + static_cast<std::size_t>(i) * n);
+      // Basic values are >= 0 in the current orientation; clear the
+      // round-off that makes a degenerate one slightly negative.
+      const double v = src[n];
+      b_[static_cast<std::size_t>(i)] = v < 0.0 && v > -1e-9 ? 0.0 : v;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      d_[j] = flipped_[j] ? -cost[j] : cost[j];
+    }
+    for (int i = 0; i < m_; ++i) {
+      const auto l =
+          static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)]);
+      const double cl = flipped_[l] ? -cost[l] : cost[l];
+      if (cl == 0.0) continue;
+      const double* row = t_.data() + static_cast<std::size_t>(i) * n;
+      for (std::size_t k = 0; k < n; ++k) d_[k] -= cl * row[k];
+    }
+    for (int i = 0; i < m_; ++i) {
+      d_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] = 0.0;
+    }
+    return true;
   }
 };
 
@@ -265,6 +352,30 @@ LpResult dense_solve(const LpProblem& p, const SolverOptions& opts) {
     }
   }
 
+  // The original rows, kept for periodic re-inversion: a long degenerate
+  // pivot sequence otherwise accumulates enough rounding error to end
+  // "optimal" at an infeasible point, or to cycle under Bland's rule on
+  // noise-level reduced costs.
+  const std::vector<double> t0 = tb.t_;
+  const std::vector<double> b0 = tb.b_;
+  const int reinvert_interval = std::max(m, 64);
+  int since_reinvert = 0;
+  // One simplex step; an "optimal" verdict reached on an aged tableau is
+  // confirmed on a freshly re-inverted one before it is believed.
+  auto checked_step = [&](const std::vector<double>& cost, bool bland) {
+    if (since_reinvert >= reinvert_interval) {
+      since_reinvert = 0;
+      tb.reinvert(t0, b0, cost);
+    }
+    StepResult sr = step(tb, opts.eps, bland);
+    if (sr == StepResult::kOptimal && since_reinvert > 0) {
+      since_reinvert = 0;
+      if (tb.reinvert(t0, b0, cost)) sr = step(tb, opts.eps, bland);
+    }
+    if (sr == StepResult::kImproved) ++since_reinvert;
+    return sr;
+  };
+
   int iter = 0;
   int stall = 0;
   const bool has_deadline =
@@ -299,7 +410,7 @@ LpResult dense_solve(const LpProblem& p, const SolverOptions& opts) {
         return stopped(Status::kIterLimit, iter);
       }
       if (out_of_time()) return stopped(Status::kTimeLimit, iter);
-      const StepResult sr = step(tb, opts.eps, stall > 2 * (m + n));
+      const StepResult sr = checked_step(cost1, stall > 2 * (m + n));
       if (sr == StepResult::kOptimal) break;
       if (sr == StepResult::kUnbounded) break;  // cannot happen in phase 1
       const double obj = phase_objective(tb, cost1);
@@ -355,7 +466,7 @@ LpResult dense_solve(const LpProblem& p, const SolverOptions& opts) {
       return stopped(Status::kIterLimit, iter);
     }
     if (out_of_time()) return stopped(Status::kTimeLimit, iter);
-    const StepResult sr = step(tb, opts.eps, stall > 2 * (m + n));
+    const StepResult sr = checked_step(cost2, stall > 2 * (m + n));
     if (sr == StepResult::kOptimal) break;
     if (sr == StepResult::kUnbounded) {
       return stopped(Status::kUnbounded, iter);
@@ -455,9 +566,9 @@ int violated_row(const LpProblem& p, const std::vector<double>& x) {
     return no_verdict();
   }
   if (oracle.status == Status::kOptimal && violated_row(p, oracle.x) >= 0) {
-    // The tableau never refactorizes, so rounding error accumulated over
-    // a long degenerate pivot sequence can leave it "optimal" at a point
-    // that is not even feasible: no certificate either.
+    // Rounding error the periodic re-inversion did not catch left the
+    // tableau "optimal" at a point that is not even feasible: no
+    // certificate either.
     return no_verdict();
   }
   if (oracle.status != res.status) {

@@ -10,8 +10,9 @@
 namespace ced::reference {
 
 /// Dense two-phase tableau simplex with upper-bounded variables and Bland
-/// anti-cycling. Deterministic; ignores warm starts and never returns a
-/// basis.
+/// anti-cycling; re-inverts its tableau from the original rows every
+/// max(m, 64) pivots and before accepting "optimal". Deterministic;
+/// ignores warm starts and never returns a basis.
 lp::LpResult dense_solve(const lp::LpProblem& p,
                          const lp::SolverOptions& opts = {});
 

@@ -116,10 +116,6 @@ TEST(CoverKernel, SubsetKernelMatchesScalarAmong) {
                                      random_beta(rng, 20)};
       const auto want = ref_uncovered(set, t, rows);
       EXPECT_EQ(kernel.uncovered(set), want) << to_string(level);
-      std::vector<std::uint32_t> want_global;
-      for (const std::uint32_t local : want) want_global.push_back(rows[local]);
-      EXPECT_EQ(uncovered_among(set, t, rows), want_global)
-          << to_string(level);
     }
   }
 }

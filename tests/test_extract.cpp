@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <algorithm>
+#include <filesystem>
 #include <set>
 
 #include "benchdata/handwritten.hpp"
+#include "benchdata/suite.hpp"
+#include "core/coverkernel.hpp"
 #include "core/greedy.hpp"
 #include "core/parity.hpp"
 #include "kiss/kiss.hpp"
 #include "sim/faults.hpp"
+#include "storage/store.hpp"
 
 namespace ced::core {
 namespace {
@@ -276,6 +283,74 @@ TEST(Extract, UnrestrictedActivationsSupersetReachable) {
   const DetectabilityTable tr = extract_cases(c, faults, reach);
   const DetectabilityTable ta = extract_cases(c, faults, all);
   EXPECT_GE(ta.cases.size(), tr.cases.size());
+}
+
+// The pipeline solves extracted tables without condensing them: the shard
+// merge ends in compact(), so every table is already the subset-minimal
+// antichain condense_table() computes. Hold that for every shard count,
+// thread count, a case-valve truncation, a strengthened (low degrade
+// threshold) table and a store round trip.
+TEST(Extract, TablesAreAntichainsUnderEveryShardingAndValve) {
+  char buf[] = "/tmp/ced_antichain_test_XXXXXX";
+  ASSERT_NE(::mkdtemp(buf), nullptr);
+  const std::filesystem::path dir(buf);
+  storage::ArtifactStore store(dir);
+  storage::StoreArchive archive(store);
+
+  const auto expect_antichains = [](const std::vector<DetectabilityTable>& ts,
+                                    const std::string& what) {
+    ASSERT_EQ(ts.size(), 3u) << what;
+    for (const DetectabilityTable& t : ts) {
+      EXPECT_EQ(condense_table(t).removed, 0u)
+          << what << " p=" << t.latency << " (" << t.cases.size()
+          << " cases)";
+    }
+  };
+
+  for (const std::string& name : benchdata::small_suite_names()) {
+    const fsm::FsmCircuit c = fsm::synthesize_fsm(
+        benchdata::suite_fsm(name), fsm::EncodingKind::kBinary, {});
+    const auto faults = sim::enumerate_stuck_at(c.netlist);
+    ExtractOptions ex;
+    ex.latency = 3;
+
+    std::vector<DetectabilityTable> full;
+    for (const int shards : {1, 3, 16}) {
+      for (const int threads : {1, 4}) {
+        ex.threads = threads;
+        auto ts = extract_cases_sharded(c, faults, ex, {.num_shards = shards});
+        expect_antichains(ts, name + " shards=" + std::to_string(shards) +
+                                  " threads=" + std::to_string(threads));
+        if (full.empty()) full = std::move(ts);
+      }
+    }
+    ASSERT_FALSE(full.back().truncated) << name;
+
+    ExtractOptions cut = ex;
+    cut.max_cases = std::max<std::size_t>(1, full.back().cases.size() / 3);
+    const auto truncated = extract_cases_sharded(c, faults, cut,
+                                                 {.num_shards = 3});
+    EXPECT_TRUE(truncated.back().truncated) << name;
+    expect_antichains(truncated, name + " max_cases");
+
+    // One shard: sharded runs floor the per-shard threshold at 1024.
+    ExtractOptions low = ex;
+    low.degrade_threshold = 4;
+    const auto strengthened = extract_cases_sharded(c, faults, low,
+                                                    {.num_shards = 1});
+    EXPECT_TRUE(strengthened.back().strengthened) << name;
+    expect_antichains(strengthened, name + " strengthened");
+
+    archive.store_tables(name, full);
+    const auto loaded = archive.load_tables(name);
+    ASSERT_EQ(loaded.size(), full.size()) << name;
+    for (std::size_t i = 0; i < loaded.size(); ++i) {
+      EXPECT_TRUE(loaded[i].cases == full[i].cases) << name;
+    }
+    expect_antichains(loaded, name + " store round trip");
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

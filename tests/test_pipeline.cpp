@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "benchdata/handwritten.hpp"
+#include "benchdata/suite.hpp"
 #include "core/parity.hpp"
 #include "kiss/kiss.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace ced::core {
 namespace {
@@ -94,6 +97,56 @@ TEST(Pipeline, SweepAcceptsUnsortedLatencies) {
   EXPECT_EQ(reps[0].latency, 2);
   EXPECT_EQ(reps[1].latency, 1);
   EXPECT_GE(reps[1].num_trees, reps[0].num_trees);
+}
+
+// Within a sweep the circuit and the CED options are fixed, so a latency
+// whose parities equal the previous latency's reuses that report's CED
+// cost instead of synthesizing again. The reused cost must equal a fresh
+// synthesis, and the counter and the ced-synth spans must say which
+// reports reused.
+TEST(Pipeline, SweepReusesCedSynthesisOfRepeatedParities) {
+  const std::vector<int> ps{1, 2, 3};
+  std::uint64_t repeats_seen = 0;
+  for (const std::string& name : benchdata::small_suite_names()) {
+    const fsm::Fsm f = benchdata::suite_fsm(name);
+    obs::Tracer tracer;
+    obs::MetricsRegistry metrics;
+    const auto cfg = RunConfig::Builder()
+                         .observe(obs::Sinks{&tracer, &metrics, 0})
+                         .build();
+    ASSERT_TRUE(cfg.has_value());
+    const auto reps = ced::run_latency_sweep(f, ps, *cfg);
+    ASSERT_EQ(reps.size(), ps.size()) << name;
+
+    const PipelineOptions& opts = cfg->options();
+    const fsm::FsmCircuit circuit =
+        fsm::synthesize_fsm(f, opts.encoding, opts.synth);
+    std::vector<std::string> want_attrs;
+    std::uint64_t repeats = 0;
+    for (std::size_t i = 0; i < reps.size(); ++i) {
+      const auto cost = synthesize_ced(circuit, reps[i].parities, opts.ced)
+                            .cost(opts.library);
+      EXPECT_EQ(reps[i].ced_gates, cost.gates) << name << " p=" << ps[i];
+      EXPECT_EQ(reps[i].ced_area, cost.area) << name << " p=" << ps[i];
+      const bool repeat = i > 0 && reps[i].parities == reps[i - 1].parities;
+      repeats += repeat ? 1 : 0;
+      want_attrs.push_back(repeat ? "yes" : "no");
+    }
+    repeats_seen += repeats;
+    EXPECT_EQ(metrics.snapshot().counters.at("ced_cedsynth_reused_total"),
+              repeats)
+        << name;
+    std::vector<std::string> got_attrs;
+    for (const obs::SpanRecord& s : tracer.snapshot()) {
+      if (s.name != "ced-synth") continue;
+      for (const auto& [k, v] : s.attrs) {
+        if (k == "reused") got_attrs.push_back(v);
+      }
+    }
+    EXPECT_EQ(got_attrs, want_attrs) << name;
+  }
+  // The suite must exercise the reuse path, not only fresh syntheses.
+  EXPECT_GT(repeats_seen, 0u);
 }
 
 }  // namespace

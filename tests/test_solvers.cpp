@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "benchdata/handwritten.hpp"
 #include "core/algorithm1.hpp"
+#include "core/coverkernel.hpp"
 #include "core/exact.hpp"
 #include "core/extract.hpp"
 #include "core/greedy.hpp"
 #include "core/ilp.hpp"
 #include "core/parity.hpp"
 #include "kiss/kiss.hpp"
+#include "reference/scalar_cover.hpp"
 #include "sim/faults.hpp"
 
 namespace ced::core {
@@ -74,9 +78,12 @@ TEST(ParityCover, UncoveredAmongSubset) {
   const DetectabilityTable t = tiny_table();
   const std::vector<ParityFunc> betas{0b0001};
   const std::vector<std::uint32_t> rows{1, 2};
-  const auto u = uncovered_among(betas, t, rows);
+  // Algorithm 1's sample queries: a subset kernel reports local rows,
+  // global_row maps them back to table rows.
+  const CoverKernel sample(t, rows);
+  const auto u = sample.uncovered(betas);
   ASSERT_EQ(u.size(), 1u);
-  EXPECT_EQ(u[0], 1u);
+  EXPECT_EQ(sample.global_row(u[0]), 1u);
 }
 
 TEST(ParityCover, PruneDropsRedundantTrees) {
@@ -269,6 +276,47 @@ TEST(Algorithm1, PaperFaithfulModeStillSolves) {
   opts.post_optimize = false;
   const auto sol = minimize_parity_functions(t, opts);
   EXPECT_TRUE(covers_all(sol, t));
+}
+
+// A verification sample far below the table size makes the full-table
+// checks teach the sample new rows, so Algorithm 1's sample kernel must be
+// rebuilt whenever the sample grew. q, the parities, the repair count and
+// the screening work are pinned from a build that constructed a fresh
+// subset kernel for every screen, repair and row-generation query; a
+// kernel left stale after growth repairs differently (28 repairs on each
+// instance instead of these).
+TEST(Algorithm1, SampleKernelFollowsTheGrowingSample) {
+  struct Pin {
+    int repairs;
+    std::uint64_t case_evals;
+    std::vector<ParityFunc> parities;
+  };
+  const std::vector<Pin> pins = {
+      {21, 3360, {0x80a, 0x40b, 0x45, 0x882, 0x9}},
+      {20, 2368, {0x5, 0x11ac, 0x3, 0x1300, 0x19}},
+      {20, 3456, {0x22cc, 0x5b, 0x2378, 0x6, 0x400}},
+      {17, 2304, {0x3ffc, 0x113, 0x241, 0x202, 0x3}},
+  };
+  std::mt19937_64 rng(97);
+  for (std::size_t inst = 0; inst < pins.size(); ++inst) {
+    const DetectabilityTable t = reference::random_table(rng, 14, 900, 3);
+    Algorithm1Options opts;
+    opts.verify_sample_cap = 24;
+    opts.lp_sample_rows = 12;
+    opts.iter = 16;
+    opts.threads = 1;
+    opts.seed = 0x5a3 + inst;
+    Algorithm1Stats stats;
+    const auto sol = minimize_parity_functions(t, opts, &stats);
+    EXPECT_EQ(sol, pins[inst].parities) << "instance " << inst;
+    EXPECT_EQ(stats.repairs, pins[inst].repairs) << "instance " << inst;
+    EXPECT_EQ(stats.kernel_case_evals, pins[inst].case_evals)
+        << "instance " << inst;
+    EXPECT_TRUE(reference::ref_uncovered(sol, t).empty());
+    // The sample did grow, and the kernel followed it.
+    EXPECT_GT(stats.sample_kernel_builds, stats.qs_tried.size() + 2)
+        << "instance " << inst;
+  }
 }
 
 TEST(IlpFormulations, ReducedAndStatement5AgreeOnObjective) {

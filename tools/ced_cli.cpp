@@ -390,6 +390,24 @@ std::string simulator_summary(const obs::MetricsSnapshot& snap) {
   return buf;
 }
 
+/// The `--explain` line for work the solve and ced-synth layers skipped:
+/// verification-sample kernels built (one per sample size, shared by the
+/// screens, repairs and row generation of a probe) and CED syntheses
+/// reused from the previous latency of a sweep.
+std::string reuse_summary(const obs::MetricsSnapshot& snap) {
+  const auto count = [&](const char* name) -> unsigned long long {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "reuse: ced_solve_sample_kernel_builds_total = %llu; "
+                "ced_cedsynth_reused_total = %llu\n",
+                count("ced_solve_sample_kernel_builds_total"),
+                count("ced_cedsynth_reused_total"));
+  return buf;
+}
+
 int cmd_protect(int argc, char** argv) {
   if (argc < 3) return usage();
   fsm::Fsm f = load_machine(argv[2]);
@@ -588,6 +606,7 @@ int cmd_protect(int argc, char** argv) {
     const obs::MetricsSnapshot snap = metrics.snapshot();
     std::fputs(obs::explain_tree(tracer.snapshot(), snap).c_str(), stdout);
     std::fputs(simulator_summary(snap).c_str(), stdout);
+    std::fputs(reuse_summary(snap).c_str(), stdout);
   }
   if (g_interrupted.load(std::memory_order_relaxed)) {
     // Documented contract: interruption is exit 3. Everything durable
