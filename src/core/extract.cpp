@@ -1,115 +1,20 @@
 #include "core/extract.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 
 #include "common/digest.hpp"
 #include "common/parallel.hpp"
+#include "core/case_set.hpp"
 #include "obs/metrics.hpp"
 #include "sim/compiled_sim.hpp"
 
 namespace ced::core {
 namespace {
-
-/// Flat open-addressing hash set: the items live in a dense vector, and a
-/// power-of-two slot table (at most half full) maps hashes to positions.
-/// Insert-only, and iteration follows insertion order — both users are
-/// order-blind: case sets are compacted and/or sorted before any table
-/// sees them, and step classes are sorted.
-template <class T, class Hash>
-class FlatSet {
- public:
-  std::size_t size() const { return items_.size(); }
-  typename std::vector<T>::const_iterator begin() const {
-    return items_.begin();
-  }
-  typename std::vector<T>::const_iterator end() const { return items_.end(); }
-
-  bool contains(const T& x) const {
-    return !slots_.empty() && slots_[probe(x, hash(x))] != 0;
-  }
-
-  /// Adds `x`; false when it was already present.
-  bool insert(const T& x) {
-    if (2 * (items_.size() + 1) > slots_.size()) {
-      rehash(std::max<std::size_t>(16, 2 * slots_.size()));
-    }
-    const std::uint64_t h = hash(x);
-    const std::size_t i = probe(x, h);
-    if (slots_[i] != 0) return false;
-    items_.push_back(x);
-    slots_[i] = (h & ~kIndex) | items_.size();
-    return true;
-  }
-
-  template <class It>
-  void insert(It first, It last) {
-    for (; first != last; ++first) insert(*first);
-  }
-
-  void reserve(std::size_t n) {
-    items_.reserve(n);
-    if (2 * n > slots_.size()) rehash(std::bit_ceil(2 * n));
-  }
-
-  /// Empties the set, keeping its capacity.
-  void reset() {
-    items_.clear();
-    std::fill(slots_.begin(), slots_.end(), 0);
-  }
-
-  /// Empties the set and releases its memory.
-  void clear() {
-    items_ = {};
-    slots_ = {};
-  }
-
- private:
-  /// Low 32 bits of a slot: item position + 1 (0 = empty); high 32 bits:
-  /// the hash's high half, which filters most mismatches without touching
-  /// the item.
-  static constexpr std::uint64_t kIndex = 0xffffffffull;
-
-  static std::uint64_t hash(const T& x) {
-    std::uint64_t h = Hash{}(x);
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ull;
-    h ^= h >> 33;
-    return h;
-  }
-
-  /// The slot holding `x`, or the empty slot where it would go.
-  std::size_t probe(const T& x, std::uint64_t h) const {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-      const std::uint64_t slot = slots_[i];
-      if (slot == 0 || ((slot >> 32) == (h >> 32) &&
-                        items_[(slot & kIndex) - 1] == x)) {
-        return i;
-      }
-    }
-  }
-
-  void rehash(std::size_t capacity) {
-    slots_.assign(capacity, 0);
-    const std::size_t mask = capacity - 1;
-    for (std::size_t k = 0; k < items_.size(); ++k) {
-      const std::uint64_t h = hash(items_[k]);
-      std::size_t i = h & mask;
-      while (slots_[i] != 0) i = (i + 1) & mask;
-      slots_[i] = (h & ~kIndex) | (k + 1);
-    }
-  }
-
-  std::vector<T> items_;
-  std::vector<std::uint64_t> slots_;
-};
-
-using CaseSet = FlatSet<ErroneousCase, ErroneousCaseHash>;
 
 /// One state of the enumerated walk: the fault-free (reference) machine's
 /// state and the faulty machine's state. Under kImplementable semantics the
@@ -210,46 +115,25 @@ ErroneousCase canonicalize(const std::uint64_t* diffs, int len) {
   return ec;
 }
 
-/// True if some nonempty proper subset of ec's word set is already a
-/// case: that case implies ec (odd overlap with the subset's word is odd
-/// overlap with ec's), making ec a redundant row.
-bool dominated(const ErroneousCase& ec, const CaseSet& set) {
-  const unsigned full = (1u << ec.length) - 1;
-  for (unsigned mask = 1; mask < full; ++mask) {
-    ErroneousCase sub;
-    int m = 0;
-    for (int k = 0; k < ec.length; ++k) {
-      if ((mask >> k) & 1) {
-        sub.diff[static_cast<std::size_t>(m++)] =
-            ec.diff[static_cast<std::size_t>(k)];
-      }
-    }
-    sub.length = static_cast<std::uint8_t>(m);
-    if (set.contains(sub)) return true;
-  }
-  return false;
-}
+/// One worker's extraction sub-layer counts (see register_counters),
+/// bumped as plain members in the hot loops and folded once per shard.
+struct ExtractCounters {
+  std::uint64_t classifications = 0;
+  std::uint64_t clean_classifications = 0;
+  std::uint64_t inserts = 0;
+  std::uint64_t dominance_probes = 0;
+  std::uint64_t compactions = 0;
+};
 
-/// Rebuilds a set keeping only subset-minimal cases.
-void compact(CaseSet& set) {
-  CaseSet kept;
-  kept.reserve(set.size());
-  for (const auto& ec : set) {
-    if (!dominated(ec, set)) kept.insert(ec);
-  }
-  set = std::move(kept);
-}
-
-/// Strengthens a case to its `k` smallest difference words (sound: it
-/// only removes detection alternatives).
-ErroneousCase strengthen(const ErroneousCase& ec, int k) {
-  if (ec.length <= k) return ec;
-  ErroneousCase s;
-  s.length = static_cast<std::uint8_t>(k);
-  for (int i = 0; i < k; ++i) {
-    s.diff[static_cast<std::size_t>(i)] = ec.diff[static_cast<std::size_t>(i)];
-  }
-  return s;
+/// `sink` is a MetricsShard or a MetricsRegistry.
+template <class Sink>
+void add_counters(Sink& sink, const ExtractCounters& c) {
+  sink.add("ced_extract_classifications_total", c.classifications);
+  sink.add("ced_extract_clean_classifications_total",
+           c.clean_classifications);
+  sink.add("ced_extract_inserts_total", c.inserts);
+  sink.add("ced_extract_dominance_probes_total", c.dominance_probes);
+  sink.add("ced_extract_compactions_total", c.compactions);
 }
 
 /// One extraction worker: walks one shard of the fault list through a
@@ -257,7 +141,8 @@ ErroneousCase strengthen(const ErroneousCase& ec, int k) {
 /// pre-populated cache) into private per-latency case sets. Its budget
 /// valves are private too, so what a shard extracts is a pure function of
 /// its fault block and the options, never of the other shards or of
-/// timing.
+/// timing. So are its counters, which makes them equal at any thread count
+/// for a fixed shard partition.
 class ShardWorker {
  public:
   ShardWorker(const fsm::FsmCircuit& circuit, const ExtractOptions& opts,
@@ -286,6 +171,7 @@ class ShardWorker {
       if (stopped()) break;
       sim_.arm(f.injection());
       classes_.clear();
+      dirty_.clear();
       bool detectable = false;
       for (std::uint64_t c : activation_codes_) {
         if (stopped()) break;
@@ -314,6 +200,7 @@ class ShardWorker {
   const std::vector<DetectabilityTable>& tables() const { return tables_; }
   std::vector<CaseSet>& sets() { return sets_; }
   const sim::SimCounters& sim_counters() const { return sim_.counters(); }
+  const ExtractCounters& counters() const { return counters_; }
   bool truncated() const {
     return std::any_of(tables_.begin(), tables_.end(),
                        [](const DetectabilityTable& t) { return t.truncated; });
@@ -323,13 +210,37 @@ class ShardWorker {
   bool stopped() const { return stop_; }
 
   /// Step classes of `pair` under the current fault, classified once per
-  /// fault: the DFS revisits the same few pairs along many paths.
+  /// fault: the DFS revisits the same few pairs along many paths. Where the
+  /// fault changes no row of a state the walk is in (faulty_rows returns
+  /// that state's golden rows, and the reference machine is in the same
+  /// state), the classes are the fault-free ones for every fault, so they
+  /// come from golden_classes() instead of the 2^r-input classifier.
   const std::vector<StepClass>& classes_of(const Pair& pair) {
-    auto [it, fresh] = classes_.try_emplace(pair);
+    auto [it, fresh] = classes_.try_emplace(pair, nullptr);
     if (fresh) {
-      it->second = step_classes(sim_.golden(pair.good).rows,
-                                sim_.faulty_rows(pair.bad), circuit_,
-                                opts_.semantics, seen_);
+      ++counters_.classifications;
+      const std::vector<std::uint64_t>& faulty = sim_.faulty_rows(pair.bad);
+      const std::vector<std::uint64_t>& golden = sim_.golden(pair.good).rows;
+      if (pair.good == pair.bad && &faulty == &golden) {
+        ++counters_.clean_classifications;
+        it->second = &golden_classes(pair.good, golden);
+      } else {
+        it->second = &dirty_.emplace_back(step_classes(
+            golden, faulty, circuit_, opts_.semantics, seen_));
+      }
+    }
+    return *it->second;
+  }
+
+  /// The fault-free step classes of state `code` (every difference word
+  /// 0, successor pair (h, h) with h the golden next state), computed once
+  /// per worker. They do not depend on the semantics: the two machines
+  /// agree on every row.
+  const std::vector<StepClass>& golden_classes(
+      std::uint64_t code, const std::vector<std::uint64_t>& rows) {
+    auto [it, fresh] = golden_classes_.try_emplace(code);
+    if (fresh) {
+      it->second = step_classes(rows, rows, circuit_, opts_.semantics, seen_);
     }
     return it->second;
   }
@@ -352,7 +263,9 @@ class ShardWorker {
   /// Extends the current path from `pair` at step index `depth`
   /// (diffs_[0..depth-1] and path_states_[0..depth-1] are filled).
   void descend(const Pair& pair, int depth) {
-    if (depth == opts_.latency || stopped()) return;
+    // depth < latency <= kMaxLatency; the second test only tells the
+    // compiler so (recursive inlining otherwise trips -Warray-bounds).
+    if (depth == opts_.latency || depth >= kMaxLatency || stopped()) return;
     if ((++tick_ & 1023u) == 0) check_deadline();
     for (const auto& cls : classes_of(pair)) {
       if (stopped()) return;
@@ -393,7 +306,11 @@ class ShardWorker {
     const ErroneousCase prefix = canonicalize(diffs_.data(), len);
     for (int t = len + 1; t <= opts_.latency; ++t) {
       const auto& set = sets_[static_cast<std::size_t>(t - 1)];
-      if (!set.contains(prefix) && !dominated(prefix, set)) return false;
+      ++counters_.dominance_probes;
+      if (!set.contains(prefix) &&
+          !dominated(prefix, set, &counters_.dominance_probes)) {
+        return false;
+      }
     }
     return true;
   }
@@ -426,13 +343,15 @@ class ShardWorker {
     if (frozen(t)) return;
     auto& set = sets_[t];
     ec = strengthen(ec, max_words_[t]);
-    if (dominated(ec, set)) return;
+    ++counters_.inserts;
+    if (dominated(ec, set, &counters_.dominance_probes)) return;
     const auto before = static_cast<std::int64_t>(set.size());
     set.insert(ec);
     credit_cases(before, static_cast<std::int64_t>(set.size()));
     auto& threshold = compact_threshold_[t];
     if (set.size() > threshold) {
       const auto pre = static_cast<std::int64_t>(set.size());
+      ++counters_.compactions;
       compact(set);
       credit_cases(pre, static_cast<std::int64_t>(set.size()));
       threshold = std::max<std::size_t>(2 * set.size(), kCompactStart);
@@ -442,12 +361,9 @@ class ShardWorker {
       // rebuild the subset-minimal antichain.
       --max_words_[t];
       tables_[t].strengthened = true;
-      CaseSet rebuilt;
-      rebuilt.reserve(set.size());
-      for (const auto& c : set) rebuilt.insert(strengthen(c, max_words_[t]));
-      compact(rebuilt);
       const auto pre = static_cast<std::int64_t>(set.size());
-      set = std::move(rebuilt);
+      ++counters_.compactions;
+      strengthen(set, max_words_[t]);
       credit_cases(pre, static_cast<std::int64_t>(set.size()));
       threshold = std::max<std::size_t>(2 * set.size(), kCompactStart);
     }
@@ -456,6 +372,7 @@ class ShardWorker {
       // set first; if the shard's count still overflows, keep the
       // subset-minimal cases found so far and freeze the table.
       const auto pre = static_cast<std::int64_t>(set.size());
+      ++counters_.compactions;
       compact(set);
       credit_cases(pre, static_cast<std::int64_t>(set.size()));
       if (static_cast<std::size_t>(live_cases_) > opts_.max_cases) {
@@ -472,9 +389,14 @@ class ShardWorker {
   const ExtractOptions& opts_;
   sim::FaultSim sim_;
   StepClassSet seen_;  ///< step_classes' dedupe table, reused
-  /// Step classes per pair under the current fault (node-based, so
-  /// references stay valid while deeper DFS levels add pairs).
-  std::unordered_map<Pair, std::vector<StepClass>, PairHash> classes_;
+  /// Fault-free step classes per state code, shared by every fault
+  /// (node-based, so the pointers in classes_ stay valid).
+  std::unordered_map<std::uint64_t, std::vector<StepClass>> golden_classes_;
+  /// Step classes of the current fault's dirty pairs.
+  std::deque<std::vector<StepClass>> dirty_;
+  /// Step classes per pair under the current fault: into golden_classes_
+  /// or dirty_.
+  std::unordered_map<Pair, const std::vector<StepClass>*, PairHash> classes_;
   std::span<const std::uint64_t> activation_codes_;
   bool stop_ = false;            ///< every table frozen, or deadline hit
   std::int64_t live_cases_ = 0;  ///< cases across sets_ (inserts - compactions)
@@ -484,6 +406,7 @@ class ShardWorker {
   std::vector<int> max_words_;
   const std::size_t degrade_threshold_;
   std::uint32_t tick_ = 0;
+  ExtractCounters counters_;
   std::array<std::uint64_t, kMaxLatency> diffs_{};
   std::array<Pair, kMaxLatency + 1> path_states_{};
 };
@@ -542,7 +465,7 @@ ExtractShard shard_from_worker(ShardWorker& worker, std::uint32_t index,
     DetectabilityTable& table = sh.tables[t];
     table.num_faults = shard_faults;
     compact(sets[t]);
-    table.cases.assign(sets[t].begin(), sets[t].end());
+    table.cases = sets[t].cases();
     sets[t].clear();
     std::sort(table.cases.begin(), table.cases.end(), case_less);
   }
@@ -557,6 +480,10 @@ bool shard_truncated(const ExtractShard& sh) {
 }
 
 }  // namespace
+
+void register_counters(obs::MetricsRegistry& reg) {
+  add_counters(reg, ExtractCounters{});
+}
 
 int resolve_checkpoint_shards(int requested, std::size_t num_faults) {
   const int n = requested >= 1 ? requested : kDefaultCheckpointShards;
@@ -643,6 +570,7 @@ std::vector<DetectabilityTable> extract_cases_sharded(
     }
   }
   if (opts.obs.metrics != nullptr) {
+    register_counters(*opts.obs.metrics);
     opts.obs.metrics->add(
         "ced_extract_shards_resumed_total",
         static_cast<std::uint64_t>(static_cast<std::size_t>(num_shards) -
@@ -686,6 +614,7 @@ std::vector<DetectabilityTable> extract_cases_sharded(
         mshard.add("ced_extract_shards_total");
         mshard.add("ced_extract_shards_computed_total");
         sim::record_counters(mshard, worker.sim_counters());
+        add_counters(mshard, worker.counters());
       }
       // Only complete shards become checkpoints; a valve-tripped shard
       // keeps its partial cases in this run's (truncated) result but is
@@ -714,15 +643,22 @@ std::vector<DetectabilityTable> extract_cases_sharded(
     table.latency = p;
     table.num_faults = faults.size();
     CaseSet merged;
+    bool first = true;
     for (int s = 0; s < num_shards; ++s) {
       if (!present[static_cast<std::size_t>(s)]) continue;
       const DetectabilityTable& lt =
           shards[static_cast<std::size_t>(s)].tables[t];
-      merged.insert(lt.cases.begin(), lt.cases.end());
       if (auto& sets = unsaved[static_cast<std::size_t>(s)]; !sets.empty()) {
-        merged.insert(sets[t].begin(), sets[t].end());
+        if (first) {
+          merged = std::move(sets[t]);  // the union starts as this set
+        } else {
+          sets[t].for_each(
+              [&](const ErroneousCase& ec) { merged.insert(ec); });
+        }
         sets[t].clear();
       }
+      merged.insert(lt.cases.begin(), lt.cases.end());
+      first = false;
       table.num_activations += lt.num_activations;
       table.num_paths += lt.num_paths;
       table.num_loop_truncations += lt.num_loop_truncations;
@@ -736,7 +672,7 @@ std::vector<DetectabilityTable> extract_cases_sharded(
       }
     }
     compact(merged);
-    table.cases.assign(merged.begin(), merged.end());
+    table.cases = merged.cases();
     std::sort(table.cases.begin(), table.cases.end(), case_less);
     if (skipped > 0) {
       table.truncated = true;

@@ -13,6 +13,10 @@
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 
+namespace ced::obs {
+class MetricsRegistry;
+}
+
 namespace ced::core {
 
 /// How the per-step difference sets of an erroneous case are defined.
@@ -108,6 +112,19 @@ struct DetectabilityTable {
     return (ec.diff[static_cast<std::size_t>(k)] >> j) & 1;
   }
 };
+
+/// Registers the extraction sub-layer counters at 0, so an observed run
+/// reports them even when it extracts nothing (a warm store hit):
+/// ced_extract_classifications_total (step classifications the walk asked
+/// for, one per (fault, pair) it reaches), _clean_classifications_total
+/// (those served from the state's fault-free classes), _inserts_total
+/// (cases offered to a live table), _dominance_probes_total (case-set
+/// lookups deciding subset dominance, per insert and per subtree-prune
+/// check) and _compactions_total (walk compactions: size schedule,
+/// degrade, case valve). Each computed shard adds its own counts, a pure
+/// function of its fault block, so the totals are equal at any thread
+/// count for a fixed shard partition.
+void register_counters(obs::MetricsRegistry& reg);
 
 // ---------------------------------------------------------------------------
 // Sharded extraction — the one extraction entry point.

@@ -398,6 +398,7 @@ std::vector<PipelineReport> run_latency_sweep_impl(
       shard.add("ced_extract_paths_total", deep.num_paths);
       shard.add("ced_extract_faults_total",
                 static_cast<std::uint64_t>(faults.size()));
+      register_counters(*run_obs.metrics);
       if (opts.archive != nullptr) {
         shard.add(archive_hit ? "ced_store_table_hits_total"
                               : "ced_store_table_misses_total");

@@ -25,6 +25,7 @@
 #include "core/run.hpp"
 #include "core/verify.hpp"
 #include "kiss/kiss.hpp"
+#include "obs/metrics.hpp"
 #include "sim/faults.hpp"
 #include "storage/format.hpp"
 
@@ -469,6 +470,39 @@ TEST_F(StorageTest, PipelineQuarantinesCorruptCacheAndRecomputes) {
   // The recomputed bundle was re-cached and is valid again.
   EXPECT_TRUE(
       store.get_validated(tab_name, ArtifactKind::kTableBundle).has_value());
+}
+
+// The extraction sub-layer counters are registered on every observed run:
+// a cold run counts its classifications, and a warm store hit, which
+// extracts nothing, still reports them, at 0.
+TEST_F(StorageTest, WarmHitRegistersExtractionCountersAtZero) {
+  const fsm::Fsm f =
+      fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("traffic")));
+  ArtifactStore store(dir_);
+  StoreArchive archive(store);
+  const char* names[] = {"ced_extract_classifications_total",
+                         "ced_extract_clean_classifications_total",
+                         "ced_extract_inserts_total",
+                         "ced_extract_dominance_probes_total",
+                         "ced_extract_compactions_total"};
+  for (const bool warm : {false, true}) {
+    obs::MetricsRegistry metrics;
+    core::PipelineOptions opts;
+    opts.latency = 2;
+    opts.exec.threads = 1;
+    opts.archive = &archive;
+    opts.obs = obs::Sinks{nullptr, &metrics, 0};
+    ced::run_pipeline(f, ced::RunConfig::wrap(opts));
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    for (const char* name : names) {
+      ASSERT_EQ(snap.counters.count(name), 1u) << name;
+    }
+    EXPECT_EQ(snap.counters.count("ced_store_table_hits_total"),
+              warm ? 1u : 0u)
+        << "warm=" << warm;
+    EXPECT_EQ(snap.counters.at("ced_extract_classifications_total") == 0,
+              warm);
+  }
 }
 
 TEST_F(StorageTest, StoreDirectoryFailureDegradesToAlwaysMiss) {

@@ -181,7 +181,13 @@ int cmd_help() {
       "  --threads=N          0          worker threads for extraction and\n"
       "                                  rounding; 0 = CED_THREADS env or\n"
       "                                  hardware concurrency, 1 = serial.\n"
-      "                                  Results are identical at any count.\n"
+      "                                  Results are identical at any count\n"
+      "                                  unless a table is strengthened: the\n"
+      "                                  degrade threshold is split per\n"
+      "                                  extraction shard, and without\n"
+      "                                  --store there is one shard per\n"
+      "                                  thread (s1488 p=3 gives q=9 at 16\n"
+      "                                  threads; see ROADMAP.md item 1).\n"
       "  --solver=KIND        lp         lp | greedy | exact\n"
       "  --encoding=KIND      binary     binary | gray | onehot | spread\n"
       "  --semantics=KIND     impl       impl | machine (see DESIGN.md)\n"
@@ -387,6 +393,37 @@ std::string simulator_summary(const obs::MetricsSnapshot& snap) {
                 simulated == 0 ? 0.0
                                : static_cast<double>(evals) /
                                      static_cast<double>(simulated));
+  return buf;
+}
+
+/// The extraction sub-layer figures from a run's counters: how many step
+/// classifications the fault-free (golden) classes served, and how many
+/// case-set lookups a dominance check cost per case insert. Empty when
+/// nothing was extracted (e.g. a warm store hit).
+std::string extraction_summary(const obs::MetricsSnapshot& snap) {
+  const auto count = [&](const char* name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  const std::uint64_t classified = count("ced_extract_classifications_total");
+  const std::uint64_t clean = count("ced_extract_clean_classifications_total");
+  const std::uint64_t inserts = count("ced_extract_inserts_total");
+  const std::uint64_t probes = count("ced_extract_dominance_probes_total");
+  if (classified == 0) return "";
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "extraction: %.1f%% of %llu step classifications served "
+                "from golden classes; %.2f dominance probes per case insert "
+                "(%llu inserts); %llu compactions\n",
+                100.0 * static_cast<double>(clean) /
+                    static_cast<double>(classified),
+                static_cast<unsigned long long>(classified),
+                inserts == 0 ? 0.0
+                             : static_cast<double>(probes) /
+                                   static_cast<double>(inserts),
+                static_cast<unsigned long long>(inserts),
+                static_cast<unsigned long long>(
+                    count("ced_extract_compactions_total")));
   return buf;
 }
 
@@ -606,6 +643,7 @@ int cmd_protect(int argc, char** argv) {
     const obs::MetricsSnapshot snap = metrics.snapshot();
     std::fputs(obs::explain_tree(tracer.snapshot(), snap).c_str(), stdout);
     std::fputs(simulator_summary(snap).c_str(), stdout);
+    std::fputs(extraction_summary(snap).c_str(), stdout);
     std::fputs(reuse_summary(snap).c_str(), stdout);
   }
   if (g_interrupted.load(std::memory_order_relaxed)) {

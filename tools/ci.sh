@@ -6,19 +6,22 @@
 #                          # + full ctest under sanitizers, then TSan build
 #                          # + full ctest with 4 worker threads
 #   tools/ci.sh --fast     # ASan+UBSan pass runs only the resilience,
-#                          # parser, storage, LP-solver and compiled-
-#                          # simulator suites (the crash-prone surface:
-#                          # budget valves, malformed input, corrupt-
-#                          # artifact fault injection, the sparse
-#                          # simplex's pointer arithmetic, and the
-#                          # simulator's CSR walks and row patching — the
-#                          # per-circuit MCNC differential runs only in the
-#                          # full pass); TSan pass runs only the
+#                          # parser, storage, LP-solver, compiled-
+#                          # simulator, extraction and case-set suites
+#                          # (the crash-prone surface: budget valves,
+#                          # malformed input, corrupt-artifact fault
+#                          # injection, the sparse simplex's pointer
+#                          # arithmetic, the simulator's CSR walks and row
+#                          # patching — the per-circuit MCNC differential
+#                          # runs only in the full pass — and the case
+#                          # sets' flat hash strata and the workers'
+#                          # step-class memo); TSan pass runs only the
 #                          # concurrency-bearing suites (parallel
 #                          # extraction, pipeline, resume, the warm-started
 #                          # LP under a 4-thread solver, the scheme pin at
-#                          # 4 threads, and workers sharing the compiled
-#                          # simulator's golden cache)
+#                          # 4 threads, workers sharing the compiled
+#                          # simulator's golden cache, and the extraction
+#                          # suite's multi-shard runs)
 #
 # Run from anywhere; paths resolve relative to the repo root.
 
@@ -183,7 +186,7 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset asan-ubsan -j "$jobs" \
-      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CompiledSim\.|CompiledSimSession'
+      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CompiledSim\.|CompiledSimSession|Extract\.|CaseSet'
 else
   ctest --preset asan-ubsan -j "$jobs"
 fi
@@ -193,7 +196,7 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset tsan -j "$jobs" \
-      -R 'Parallel|Resilience|Pipeline|Resume|Serve|Campaign|RevisedLp|SchemePin|CompiledSim\.'
+      -R 'Parallel|Resilience|Pipeline|Resume|Serve|Campaign|RevisedLp|SchemePin|CompiledSim\.|Extract'
 else
   ctest --preset tsan -j "$jobs"
 fi
