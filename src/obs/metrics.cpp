@@ -4,14 +4,15 @@
 
 namespace ced::obs {
 
-void Histogram::observe(double value) {
+void Histogram::observe(double value, std::uint64_t count) {
+  if (count == 0) return;
   if (counts.size() != edges.size() + 1) counts.assign(edges.size() + 1, 0);
   // Edges are inclusive upper bounds (Prometheus `le` semantics).
   std::size_t b = 0;
   while (b < edges.size() && value > edges[b]) ++b;
-  ++counts[b];
-  sum += value;
-  ++total;
+  counts[b] += count;
+  sum += value * static_cast<double>(count);
+  total += count;
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -59,7 +60,8 @@ void MetricsRegistry::set_gauge(std::string_view name, double value) {
   data_.gauges[std::string(name)] = value;
 }
 
-void MetricsRegistry::observe(std::string_view name, double value) {
+void MetricsRegistry::observe(std::string_view name, double value,
+                              std::uint64_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = data_.histograms.find(std::string(name));
   if (it == data_.histograms.end()) {
@@ -67,7 +69,7 @@ void MetricsRegistry::observe(std::string_view name, double value) {
              .emplace(std::string(name), Histogram(default_histogram_edges()))
              .first;
   }
-  it->second.observe(value);
+  it->second.observe(value, count);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -86,15 +88,18 @@ void MetricsShard::add(std::string_view name, std::uint64_t delta) {
   counts_.emplace_back(std::string(name), delta);
 }
 
-void MetricsShard::observe(std::string_view name, double value) {
-  if (!reg_) return;
+void MetricsShard::observe(std::string_view name, double value,
+                           std::uint64_t count) {
+  if (!reg_ || count == 0) return;
   for (auto& [n, v] : samples_) {
     if (n == name) {
-      v.push_back(value);
+      v.emplace_back(value, count);
       return;
     }
   }
-  samples_.emplace_back(std::string(name), std::vector<double>{value});
+  samples_.emplace_back(
+      std::string(name),
+      std::vector<std::pair<double, std::uint64_t>>{{value, count}});
 }
 
 void MetricsShard::flush() {
@@ -103,7 +108,7 @@ void MetricsShard::flush() {
     if (v != 0) reg_->add(n, v);
   }
   for (const auto& [n, vs] : samples_) {
-    for (double v : vs) reg_->observe(n, v);
+    for (const auto& [v, c] : vs) reg_->observe(n, v, c);
   }
   counts_.clear();
   samples_.clear();

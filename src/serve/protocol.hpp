@@ -31,7 +31,8 @@ const char* to_string(Code code);
 
 /// Operations the daemon accepts.
 ///   protect — run (or serve from cache) the bounded-latency CED pipeline
-///   verify  — re-prove a stored scheme against a fresh synthesis
+///   verify  — re-check a stored scheme against a fresh synthesis by
+///             seeded random walks (not a proof; see `ced_cli campaign`)
 ///   sweep   — shared-extraction sweep over several latency bounds
 ///   health  — liveness/readiness probe (answered even while draining)
 ///   metrics — Prometheus text snapshot (also scrapable over HTTP)

@@ -427,6 +427,9 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
   const std::vector<std::uint64_t> units =
       campaign_units(circuit, faults, opts);
   span.attr("units", static_cast<std::uint64_t>(units.size()));
+  span.attr("checker_nets", static_cast<std::uint64_t>(pm.checker_nets()));
+  span.attr("checker_cone_gates",
+            static_cast<std::uint64_t>(pm.checker_cone().size()));
   const int num_shards =
       core::resolve_checkpoint_shards(sharding.num_shards, units.size());
   const std::vector<std::size_t> bounds =
@@ -485,15 +488,18 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       ms.add("ced_campaign_detected_late_total", v.detected_late);
       ms.add("ced_campaign_silent_escapes_total", v.silent_escape);
       for (std::size_t b = 0; b < v.histogram.size(); ++b) {
-        for (std::uint64_t c = 0; c < v.histogram[b]; ++c) {
-          ms.observe("ced_campaign_latency", static_cast<double>(b + 1));
-        }
+        ms.observe("ced_campaign_latency", static_cast<double>(b + 1),
+                   v.histogram[b]);
       }
       sh.verdicts.push_back(std::move(v));
     }
     record_counters(ms, session.sim_counters());
     ms.add("ced_campaign_checker_batches_reused_total",
            session.checker_batches_reused());
+    ms.add("ced_campaign_checker_cone_evals_total",
+           session.checker_cone_evals());
+    ms.add("ced_campaign_checker_gate_evals_total",
+           session.checker_gate_evals());
     shards[i] = std::move(sh);
     have[i] = 1;
     if (!tripped[i] && hooks.save) hooks.save(shards[i]);

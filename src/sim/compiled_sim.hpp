@@ -62,6 +62,8 @@ class CompiledNetlist {
     return static_cast<std::uint32_t>(op_.size());
   }
   std::size_t num_inputs() const { return inputs_.size(); }
+  /// Input nets in declaration order: input i takes `input_words[i]`.
+  std::span<const std::uint32_t> inputs() const { return inputs_; }
   std::span<const std::uint32_t> outputs() const { return outputs_; }
   std::span<const std::uint32_t> fanins(std::uint32_t net) const {
     return {fanin_.data() + fanin_start_[net],

@@ -40,6 +40,7 @@
 #include "core/parity_synth.hpp"
 #include "core/run.hpp"
 #include "core/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sim/compiled_sim.hpp"
 #include "sim/faults.hpp"
 #include "storage/format.hpp"
@@ -387,6 +388,52 @@ TEST(CampaignDeterminism, ByteIdenticalAcrossThreadCounts) {
       run_campaign(d.circuit, d.hw, d.faults, opts);
   EXPECT_EQ(storage::encode_campaign_report(serial),
             storage::encode_campaign_report(parallel));
+}
+
+// ---------------------------------------------------------------------------
+// Metrics: the latency histogram is folded once per (unit, latency) bucket,
+// count-weighted, and must still equal the report's histogram exactly.
+
+TEST(CampaignMetrics, LatencyHistogramEqualsReportHistogram) {
+  const Design d = suite_design("dk16", 2);
+  CampaignOptions opts;
+  opts.latency_bound = 2;
+  opts.threads = 2;
+  const int horizon = resolved_horizon(opts);
+  obs::MetricsRegistry reg;
+  std::vector<double> edges;
+  for (int l = 1; l <= horizon; ++l) edges.push_back(static_cast<double>(l));
+  reg.define_histogram("ced_campaign_latency", edges);
+  opts.obs.metrics = &reg;
+  const CampaignReport rep = run_campaign(d.circuit, d.hw, d.faults, opts);
+
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::Histogram& h = snap.histograms.at("ced_campaign_latency");
+  ASSERT_EQ(h.counts.size(), rep.histogram.size() + 1);
+  std::uint64_t total = 0;
+  double sum = 0.0;
+  for (std::size_t b = 0; b < rep.histogram.size(); ++b) {
+    EXPECT_EQ(h.counts[b], rep.histogram[b]) << "latency " << b + 1;
+    total += rep.histogram[b];
+    sum += static_cast<double>((b + 1) * rep.histogram[b]);
+  }
+  EXPECT_EQ(h.counts.back(), 0u);
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(h.total, total);
+  EXPECT_EQ(h.sum, sum);  // small integers: exact in a double
+
+  // The checker counters fold once per shard. Every simulated faulty batch
+  // either reuses the golden verdict or is cone-evaluated.
+  const auto counter = [&](const char* name) {
+    return snap.counters.at(name);
+  };
+  const std::uint64_t cone_evals =
+      counter("ced_campaign_checker_cone_evals_total");
+  EXPECT_GT(cone_evals, 0u);
+  EXPECT_EQ(cone_evals + counter("ced_campaign_checker_batches_reused_total"),
+            counter("ced_sim_batches_screened_total") +
+                counter("ced_sim_batches_simulated_total"));
+  EXPECT_GE(counter("ced_campaign_checker_gate_evals_total"), cone_evals);
 }
 
 class CampaignStoreTest : public ::testing::Test {

@@ -40,6 +40,31 @@ TEST(Metrics, HistogramEdgesAreInclusiveUpperBounds) {
   EXPECT_DOUBLE_EQ(h.sum, 14.5);
 }
 
+TEST(Metrics, CountWeightedObserveEqualsRepeatedObserve) {
+  obs::Histogram weighted({1.0, 2.0});
+  obs::Histogram repeated({1.0, 2.0});
+  weighted.observe(2.0, 3);
+  weighted.observe(5.0, 0);  // records nothing
+  for (int i = 0; i < 3; ++i) repeated.observe(2.0);
+  EXPECT_EQ(weighted.counts, repeated.counts);
+  EXPECT_EQ(weighted.total, 3u);
+  EXPECT_DOUBLE_EQ(weighted.sum, 6.0);
+
+  obs::MetricsRegistry reg;
+  reg.define_histogram("lat", {1.0, 2.0});
+  {
+    obs::MetricsShard shard(&reg);
+    shard.observe("lat", 1.0, 4);
+    shard.observe("lat", 3.0, 2);
+    shard.observe("lat", 2.0, 0);
+  }
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::Histogram& h = snap.histograms.at("lat");
+  EXPECT_EQ(h.counts, (std::vector<std::uint64_t>{4, 0, 2}));
+  EXPECT_EQ(h.total, 6u);
+  EXPECT_DOUBLE_EQ(h.sum, 10.0);
+}
+
 TEST(Metrics, NullRegistryShardIsANoOp) {
   obs::MetricsShard shard;  // no registry
   EXPECT_FALSE(shard.enabled());

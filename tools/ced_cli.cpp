@@ -28,8 +28,10 @@
 // (watch t_extract in the stage-times line), an interrupted run resumed
 // with --resume completes only the missing shards and produces the same
 // tables byte for byte, and a corrupted artifact is quarantined and
-// recomputed (reported on stderr, never a crash). `verify` re-proves the
-// bounded-detection property for a scheme previously stored by `protect`.
+// recomputed (reported on stderr, never a crash). `verify` re-checks the
+// bounded-detection property for a scheme previously stored by `protect`,
+// by seeded random walks (core::VerifyOptions); `campaign` with the default
+// exhaustive policy is the proof.
 //
 // Exit codes:
 //   0  success, full-quality result
@@ -193,7 +195,11 @@ int cmd_help() {
       "  --semantics=KIND     impl       impl | machine (see DESIGN.md)\n"
       "  --minimize-states               merge compatible states first\n"
       "  --area-aware                    area-driven parity refinement\n"
-      "  --verify                        sequential bounded-latency proof\n"
+      "  --verify                        sequential bounded-latency check\n"
+      "                                  by seeded random walks (20 per\n"
+      "                                  fault): finds violations, proves\n"
+      "                                  nothing; the exhaustive proof is\n"
+      "                                  `ced_cli campaign`\n"
       "\n"
       "Artifact store flags (protect):\n"
       "  --store=DIR                     cache extraction tables, shard\n"
@@ -250,9 +256,11 @@ int cmd_help() {
       "  any thread count and across kill/resume.\n"
       "\n"
       "Store subcommands:\n"
-      "  ced_cli verify <m.kiss> --store=DIR   re-prove bounded detection\n"
-      "      for the scheme stored by a previous protect run (pass the same\n"
-      "      --latency/--solver/--encoding/--semantics/--checkpoint-shards)\n"
+      "  ced_cli verify <m.kiss> --store=DIR   re-check bounded detection\n"
+      "      for the scheme stored by a previous protect run by seeded\n"
+      "      random walks, not a proof (pass the same\n"
+      "      --latency/--solver/--encoding/--semantics/--checkpoint-shards;\n"
+      "      `ced_cli campaign` is the exhaustive proof)\n"
       "  ced_cli store verify --store=DIR      integrity-scan every\n"
       "      artifact; corrupt ones are quarantined (exit 1 if any)\n"
       "  ced_cli store gc --store=DIR          remove stray temp files,\n"
@@ -566,7 +574,7 @@ int cmd_protect(int argc, char** argv) {
 
   if (store) {
     // Persist the scheme under the extraction cache key so `ced_cli verify`
-    // can re-prove it later. Degraded schemes (truncated tables, cascade
+    // can re-check it later. Degraded schemes (truncated tables, cascade
     // floors) are deliberately not stored: they cover what was seen, not
     // necessarily the full fault set.
     std::string key = rep.extraction_key;
@@ -662,8 +670,9 @@ int cmd_protect(int argc, char** argv) {
 
 /// `ced_cli verify <machine.kiss> --store=DIR`: load the parity scheme a
 /// previous `protect --store` run persisted (after full deserialization +
-/// integrity checks) and re-prove the bounded-detection property against a
-/// freshly synthesized circuit. The shape flags must match the protect run:
+/// integrity checks) and re-check the bounded-detection property against a
+/// freshly synthesized circuit by seeded random walks (a falsifier, not a
+/// proof: `ced_cli campaign` is the exhaustive check). The shape flags must match the protect run:
 /// they are part of the cache key the scheme is filed under.
 int cmd_verify(int argc, char** argv) {
   if (argc < 3) return usage();

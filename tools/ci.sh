@@ -13,15 +13,18 @@
 #                          # injection, the sparse simplex's pointer
 #                          # arithmetic, the simulator's CSR walks and row
 #                          # patching — the per-circuit MCNC differential
-#                          # runs only in the full pass — and the case
+#                          # runs only in the full pass — the checker's
+#                          # response-cone evaluation, and the case
 #                          # sets' flat hash strata and the workers'
 #                          # step-class memo); TSan pass runs only the
 #                          # concurrency-bearing suites (parallel
 #                          # extraction, pipeline, resume, the warm-started
 #                          # LP under a 4-thread solver, the scheme pin at
 #                          # 4 threads, workers sharing the compiled
-#                          # simulator's golden cache, and the extraction
-#                          # suite's multi-shard runs)
+#                          # simulator's golden cache, campaign workers
+#                          # reading frontier words from the shared golden
+#                          # rows, and the extraction suite's multi-shard
+#                          # runs)
 #
 # Run from anywhere; paths resolve relative to the repo root.
 
@@ -186,7 +189,7 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset asan-ubsan -j "$jobs" \
-      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CompiledSim\.|CompiledSimSession|Extract\.|CaseSet'
+      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CompiledSim\.|CompiledSimSession|ProtectedMachine\.|Extract\.|CaseSet'
 else
   ctest --preset asan-ubsan -j "$jobs"
 fi
@@ -196,7 +199,7 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset tsan -j "$jobs" \
-      -R 'Parallel|Resilience|Pipeline|Resume|Serve|Campaign|RevisedLp|SchemePin|CompiledSim\.|Extract'
+      -R 'Parallel|Resilience|Pipeline|Resume|Serve|Campaign|RevisedLp|SchemePin|CompiledSim\.|ProtectedMachine\.|Extract'
 else
   ctest --preset tsan -j "$jobs"
 fi
